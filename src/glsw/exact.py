@@ -26,6 +26,16 @@ def _check_prime(p):
             raise ValueError(f"modulus {p} is not prime")
 
 
+def _fp_coerce(x, p):
+    """x in F_p: numerator times inverse denominator, never truncated."""
+    if type(x) is int:
+        return x % p
+    x = Fraction(x)
+    if x.denominator % p == 0:
+        raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
 class Mat:
     """Dense matrix over Q (p=None) or F_p."""
 
@@ -51,7 +61,7 @@ class Mat:
         if p is None:
             flat = [Fraction(x) for x in flat]
         else:
-            flat = [int(x) % p for x in flat]
+            flat = [_fp_coerce(x, p) for x in flat]
         return cls(rows, cols, flat, p)
 
     @classmethod
@@ -116,7 +126,7 @@ class Mat:
 
     def scale(self, s):
         if self.p is not None:
-            s = int(s) % self.p
+            s = _fp_coerce(s, self.p)
             data = [x * s % self.p for x in self.data]
         else:
             s = Fraction(s)
@@ -195,12 +205,7 @@ class Mat:
         """Reduce a rational matrix mod p; fails if a denominator vanishes."""
         if self.p is not None:
             raise ValueError("already over a prime field")
-        data = []
-        for x in self.data:
-            if x.denominator % p == 0:
-                raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
-            data.append(x.numerator * pow(x.denominator, -1, p) % p)
-        return Mat(self.rows, self.cols, data, p)
+        return Mat(self.rows, self.cols, [_fp_coerce(x, p) for x in self.data], p)
 
 
 def rref(M):
@@ -276,7 +281,7 @@ def solve(M, b):
     if len(b) != M.rows:
         raise ValueError("dimension mismatch")
     if M.p is not None:
-        b = [int(x) % M.p for x in b]
+        b = [_fp_coerce(x, M.p) for x in b]
         bm = Mat(M.rows, 1, b, M.p)
     else:
         bm = Mat(M.rows, 1, [Fraction(x) for x in b], None)
@@ -295,21 +300,68 @@ def kernel_basis(M):
     """Basis of the right null space, each vector scaled so its first
     nonzero coordinate is 1."""
     R, pivots = rref(M)
-    pivset = set(pivots)
-    free = [c for c in range(M.cols) if c not in pivset]
-    zero = 0 if M.p is not None else Fraction(0)
-    one = 1 if M.p is not None else Fraction(1)
-    basis = []
-    for f in free:
-        v = [zero] * M.cols
+    reduced = {c: enumerate(R.row(r)) for r, c in enumerate(pivots)}
+    return _kernel_vectors(reduced, M.cols, M.p)
+
+
+def sparse_kernel_basis(rows, ncols, p=None):
+    """``kernel_basis`` of the matrix with ``ncols`` columns whose rows are
+    the sparse ``{column: entry}`` dicts ``rows``, entry for entry.
+
+    Elimination in column order that takes the sparsest candidate row as
+    each pivot, then back-substitution from the last pivot.  The reduced row
+    echelon form of a row space is unique, so the pivot choice changes the
+    cost only, never the result."""
+    if p is None:
+        active = [{j: Fraction(x) for j, x in r.items() if x} for r in rows]
+    else:
+        active = [{j: y for j, x in r.items() if (y := _fp_coerce(x, p))} for r in rows]
+    echelon = {}  # pivot column -> its row, scaled to a leading 1
+    for c in range(ncols):
+        hits = [r for r in active if c in r]
+        if not hits:
+            continue
+        piv = min(hits, key=len)
+        inv = pow(piv[c], -1, p) if p is not None else 1 / piv[c]
+        for j, x in piv.items():
+            piv[j] = x * inv % p if p is not None else x * inv
+        for r in hits:
+            if r is not piv:
+                _sub_multiple(r, r[c], piv, p)
+        echelon[c] = piv
+        active = [r for r in active if r and r is not piv]
+    # later rows are already reduced, so they hold no pivot column but their own
+    for c in reversed(echelon):
+        row = echelon[c]
+        for j in [j for j in row if j != c and j in echelon]:
+            _sub_multiple(row, row[j], echelon[j], p)
+    return _kernel_vectors({c: r.items() for c, r in echelon.items()}, ncols, p)
+
+
+def _sub_multiple(row, f, piv, p):
+    """row -= f * piv on sparse rows, dropping the entries that vanish."""
+    for j, x in piv.items():
+        y = row.get(j, 0) - f * x
+        if p is not None:
+            y %= p
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+
+
+def _kernel_vectors(reduced, ncols, p):
+    """One vector per free column from the reduced echelon rows, given as
+    pivot column -> (column, entry) pairs; first nonzero coordinate 1."""
+    zero, one = (0, 1) if p is not None else (Fraction(0), Fraction(1))
+    basis = {f: [zero] * ncols for f in range(ncols) if f not in reduced}
+    for f, v in basis.items():
         v[f] = one
-        for r, c in enumerate(pivots):
-            if c < f:
-                val = R[r, f]
-                if val:
-                    v[c] = (-val) % M.p if M.p is not None else -val
-        basis.append(_normalize_first(v, M.p))
-    return basis
+    for c, items in reduced.items():
+        for j, x in items:
+            if x and j != c:
+                basis[j][c] = (-x) % p if p is not None else -x
+    return [_normalize_first(v, p) for v in basis.values()]
 
 
 def _normalize_first(v, p):
@@ -376,6 +428,10 @@ def poly_gcd(f, g, p=None):
     return poly_monic(f, p)
 
 
+def poly_lcm(f, g, p=None):
+    return poly_monic(poly_divmod(poly_mul(f, g, p), poly_gcd(f, g, p), p)[0], p)
+
+
 def poly_monic(f, p=None):
     f = poly_trim(f)
     if not f:
@@ -438,10 +494,7 @@ def minimal_polynomial(M):
         vec = v
         while True:
             rows = krylov + [vec]
-            A = Mat.from_rows(rows, p) if p is not None else Mat(
-                len(rows), n, [x for r in rows for x in r], None
-            )
-            if rank(A) < len(rows):
+            if rank(Mat(len(rows), n, [x for r in rows for x in r], p)) < len(rows):
                 break
             krylov.append(vec)
             vec = M.matvec(vec)
@@ -449,9 +502,7 @@ def minimal_polynomial(M):
         KT = Mat(len(krylov), n, [x for r in krylov for x in r], p).transpose()
         coeffs = solve(KT, vec)
         local = [(-c) % p if p is not None else -c for c in coeffs] + [one]
-        g = poly_gcd(m, local, p)
-        m = poly_divmod(poly_mul(m, local, p), g, p)[0]
-        m = poly_monic(m, p)
+        m = poly_lcm(m, local, p)
     return m
 
 
@@ -532,7 +583,7 @@ def _equal_degree_split(f, d, p, rng):
             # trace map splitting in characteristic 2
             t = list(r)
             acc = list(r)
-            for _ in range(d * _count_factors(n, d) - 1):
+            for _ in range(d * (n // d) - 1):
                 acc = poly_pow_mod(acc, 2, f, p)
                 t = poly_trim([(a + b) % p for a, b in _zip_pad(t, acc)])
             g = poly_gcd(f, t, p)
@@ -547,10 +598,6 @@ def _equal_degree_split(f, d, p, rng):
                 continue
         rest = poly_divmod(f, g, p)[0]
         return _equal_degree_split(g, d, p, rng) + _equal_degree_split(rest, d, p, rng)
-
-
-def _count_factors(n, d):
-    return n // d
 
 
 def factor_primefield(f, p, seed=0):

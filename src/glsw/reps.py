@@ -18,9 +18,13 @@ from glsw.exact import (
     kernel_basis,
     minimal_polynomial,
     nilpotent_block_profile,
+    poly_eval_mat,
+    poly_lcm,
+    poly_mul,
     rank,
     rref,
     solve,
+    sparse_kernel_basis,
 )
 
 
@@ -235,20 +239,23 @@ def hom_basis(V, W):
     for gid, g in enumerate(A.gens):
         s, t = g.src, g.tgt
         a, b = V.mats[gid], W.mats[gid]
-        # constraint f_t * V(a) - W(a) * f_s = 0, entry (r, c)
+        # constraint f_t * V(a) - W(a) * f_s = 0, entry (r, c), as a sparse row
         for r in range(W.dims[t]):
             for c in range(V.dims[s]):
-                row = [0] * total
+                row = {}
                 for k in range(V.dims[t]):
-                    row[offs[t] + r * V.dims[t] + k] += a[k, c]
+                    x = a[k, c]
+                    if x:
+                        j = offs[t] + r * V.dims[t] + k
+                        row[j] = row.get(j, 0) + x
                 for k in range(W.dims[s]):
-                    row[offs[s] + k * V.dims[s] + c] -= b[r, k]
+                    x = b[r, k]
+                    if x:
+                        j = offs[s] + k * V.dims[s] + c
+                        row[j] = row.get(j, 0) - x
                 rows.append(row)
-    if not rows:
-        rows = [[0] * total]
-    M = Mat.from_rows(rows, V.p)
     basis = []
-    for vec in kernel_basis(M):
+    for vec in sparse_kernel_basis(rows, total, V.p):
         f = {}
         for i in range(A.n):
             data = vec[offs[i] : offs[i] + W.dims[i] * V.dims[i]]
@@ -622,7 +629,7 @@ def ar_inverse(V):
 # isomorphism and decomposition
 
 
-def _try_invertible(V, W, f):
+def _try_invertible(V, f):
     for i in range(V.algebra.n):
         if rank(f[i]) < V.dims[i]:
             return False
@@ -637,12 +644,12 @@ def is_isomorphic(V, W, seed=0):
         return True, "both zero"
     basis = hom_basis(V, W)
     for f in basis:
-        if _try_invertible(V, W, f):
+        if _try_invertible(V, f):
             return True, "basis intertwiner invertible"
     rng = random.Random(f"iso:{seed}")
     for attempt in range(20):
         f = _random_combination(basis, V, rng)
-        if f is not None and _try_invertible(V, W, f):
+        if f is not None and _try_invertible(V, f):
             return True, f"random intertwiner invertible (seed {seed})"
     d = len(basis)
     if d != end_dim(V) or d != end_dim(W):
@@ -702,31 +709,23 @@ def _try_split(W, rng, attempts=12):
 
 
 def _split_along(W, f):
+    """Fitting split of W along the block-diagonal endomorphism f: the
+    minimal polynomial of f is the lcm of those of its vertex blocks, and
+    each factor power g^e kills the generalized eigenspace of g at every
+    vertex, since e is at least its multiplicity there."""
     p = W.p
-    n = W.total_dim()
-    big = Mat.zero(n, n, p)
-    offs = []
-    o = 0
+    mp = [1]
     for i in range(W.algebra.n):
-        offs.append(o)
-        o += W.dims[i]
-    for i in range(W.algebra.n):
-        m = f[i]
-        for r in range(m.rows):
-            for c in range(m.cols):
-                big.data[(offs[i] + r) * n + (offs[i] + c)] = m[r, c]
-    mp = minimal_polynomial(big)
+        mp = poly_lcm(mp, minimal_polynomial(f[i]), p)
     factors = factor_primefield(mp, p)
     if len(factors) < 2:
         return None
     parts = []
     for g, e in factors:
-        power = _poly_power(g, e, p)
-        bases = []
-        for i in range(W.algebra.n):
-            m = _poly_at(power, f[i], p)
-            m = m.power(max(1, W.dims[i]))
-            bases.append(_ker_rows(m))
+        power = [1]
+        for _ in range(e):
+            power = poly_mul(power, g, p)
+        bases = [_ker_rows(poly_eval_mat(power, f[i])) for i in range(W.algebra.n)]
         parts.append(_subrep(W, bases))
     if sum(x.total_dim() for x in parts) != W.total_dim():
         return None
@@ -735,21 +734,6 @@ def _split_along(W, f):
 
 def _ker_rows(m):
     return [list(v) for v in kernel_basis(m)]
-
-
-def _poly_power(g, e, p):
-    from glsw.exact import poly_mul
-
-    out = [1]
-    for _ in range(e):
-        out = poly_mul(out, g, p)
-    return out
-
-
-def _poly_at(poly, m, p):
-    from glsw.exact import poly_eval_mat
-
-    return poly_eval_mat(poly, m)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ from glsw.exact import (
     poly_divmod,
     poly_eval_mat,
     poly_gcd,
+    poly_lcm,
     poly_mul,
     rank,
     rref,
     solve,
+    sparse_kernel_basis,
 )
 
 
@@ -177,6 +179,24 @@ def test_to_fp_denominator_failure():
     assert m.to_fp(5).data == [2]  # 1/3 = 2 mod 5
 
 
+def test_from_rows_maps_fractions_into_fp():
+    assert Mat.from_rows([[Fraction(1, 2), Fraction(-3, 2)]], p=5).data == [3, 1]
+    with pytest.raises(ZeroDivisionError):
+        Mat.from_rows([[Fraction(1, 5)]], p=5)
+
+
+def test_scale_maps_fractions_into_fp():
+    assert Mat.identity(2, p=5).scale(Fraction(1, 2)).data == [3, 0, 0, 3]
+    with pytest.raises(ZeroDivisionError):
+        Mat.identity(2, p=5).scale(Fraction(2, 5))
+
+
+def test_solve_maps_fractions_into_fp():
+    assert solve(Mat.identity(1, p=5), [Fraction(1, 2)]) == [3]
+    with pytest.raises(ZeroDivisionError):
+        solve(Mat.identity(1, p=5), [Fraction(1, 10)])
+
+
 sq = st.integers(-9, 9)
 
 
@@ -241,3 +261,90 @@ def test_gcd_monic():
     f = poly_mul([1, 1], [2, 1], 7)
     g = poly_mul([1, 1], [3, 1], 7)
     assert poly_gcd(f, g, 7) == [1, 1]
+
+
+# sparse null spaces and per-block minimal polynomials against the dense path
+
+fields = st.sampled_from([2, 3, 101, None])
+
+
+@st.composite
+def sparse_rows(draw):
+    """(rows, ncols, p): random sparse rows, tall or wide, with zero rows and
+    rows that repeat combinations of earlier ones."""
+    p = draw(fields)
+    rnd = draw(st.randoms(use_true_random=False))
+    nrows, ncols = draw(st.integers(0, 14)), draw(st.integers(1, 14))
+    density = draw(st.floats(0.05, 0.7))
+
+    def entry():
+        if p is None:
+            return Fraction(rnd.randint(-9, 9), rnd.randint(1, 4))
+        return rnd.randint(-p, 2 * p)  # residues 0 mod p included
+
+    rows = [
+        {j: entry() for j in range(ncols) if rnd.random() < density}
+        for _ in range(nrows)
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        if rows:
+            a, b = rnd.choice(rows), rnd.choice(rows)
+            ca, cb = entry(), entry()
+            rows.append(
+                {j: ca * a.get(j, 0) + cb * b.get(j, 0) for j in set(a) | set(b)}
+            )
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(rnd.randint(0, len(rows)), {})
+    return rows, ncols, p
+
+
+@given(sparse_rows())
+@settings(max_examples=300, deadline=None)
+def test_sparse_kernel_basis_matches_dense(case):
+    rows, ncols, p = case
+    dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
+    M = Mat.from_rows(dense, p) if rows else Mat.zero(0, ncols, p)
+    # repr also compares entry types: Fraction over Q, int over F_p
+    assert repr(sparse_kernel_basis(rows, ncols, p)) == repr(kernel_basis(M))
+
+
+def test_sparse_kernel_basis_leaves_its_rows_alone():
+    rows = [{0: 1, 1: 2}, {1: 3, 2: 1}]
+    sparse_kernel_basis(rows, 3, 5)
+    assert rows == [{0: 1, 1: 2}, {1: 3, 2: 1}]
+
+
+def _block_diagonal(blocks, p):
+    n = sum(b.rows for b in blocks)
+    big = Mat.zero(n, n, p)
+    o = 0
+    for b in blocks:
+        for r in range(b.rows):
+            for c in range(b.cols):
+                big.data[(o + r) * n + o + c] = b[r, c]
+        o += b.rows
+    return big
+
+
+@st.composite
+def square_blocks(draw):
+    p = draw(fields)
+    rnd = draw(st.randoms(use_true_random=False))
+    blocks = []
+    for size in draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)):
+        if blocks and rnd.random() < 0.3:
+            blocks.append(blocks[-1])  # a repeated block shares its factors
+            continue
+        rows = [[rnd.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+        blocks.append(Mat.from_rows(rows, p) if size else Mat.zero(0, 0, p))
+    return blocks, p
+
+
+@given(square_blocks())
+@settings(max_examples=150, deadline=None)
+def test_blockwise_lcm_is_minimal_polynomial(case):
+    blocks, p = case
+    lcm = [1]
+    for b in blocks:
+        lcm = poly_lcm(lcm, minimal_polynomial(b), p)
+    assert lcm == minimal_polynomial(_block_diagonal(blocks, p))
