@@ -15,7 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from glsw.exact import _field
 from glsw.quivers import ValuedQuiver
+
+# the field of the structure constants
+_QQ = _field(None)
 
 
 class Gen:
@@ -41,6 +45,7 @@ class BoundQuiverAlgebra:
         self.gens = gens
         self.relations = relations
         self._mult_cache = {}
+        self._opposite = None
         self._build_basis()
 
     # -- construction -------------------------------------------------------
@@ -121,7 +126,7 @@ class BoundQuiverAlgebra:
                     for coef, term in rel:
                         whole = (prefix[0], prefix[1] + term[1] + suffix[1])
                         if self._is_allowed(whole):
-                            elem[whole] = elem.get(whole, Fraction(0)) + coef
+                            elem[whole] = elem.get(whole, _QQ.zero) + coef
                     self._insert_row(elem)
         pivots = set(self._rows)
         self.basis = sorted(
@@ -135,7 +140,7 @@ class BoundQuiverAlgebra:
         if not elem:
             return
         pivot = max(elem, key=self._path_key)
-        inv = 1 / elem[pivot]
+        inv = _QQ.inv(elem[pivot])
         row = {p: c * inv for p, c in elem.items()}
         # keep the stored rows fully reduced against each other
         for piv, other in list(self._rows.items()):
@@ -143,7 +148,7 @@ class BoundQuiverAlgebra:
                 c = other.pop(pivot)
                 for p, v in row.items():
                     if p != pivot:
-                        other[p] = other.get(p, Fraction(0)) + (-c) * v
+                        other[p] = other.get(p, _QQ.zero) + (-c) * v
                         if not other[p]:
                             del other[p]
         self._rows[pivot] = {p: c for p, c in row.items() if c}
@@ -160,7 +165,7 @@ class BoundQuiverAlgebra:
                     for q, v in row.items():
                         if q == p:
                             continue
-                        elem[q] = elem.get(q, Fraction(0)) + (-c) * v
+                        elem[q] = elem.get(q, _QQ.zero) + (-c) * v
                         if not elem[q]:
                             del elem[q]
                     changed = True
@@ -170,11 +175,11 @@ class BoundQuiverAlgebra:
     # -- arithmetic in the algebra ------------------------------------------
 
     def idempotent(self, i):
-        return {(i, ()): Fraction(1)}
+        return {(i, ()): _QQ.one}
 
     def generator_element(self, gid):
         g = self.gens[gid]
-        return {(g.src, (gid,)): Fraction(1)}
+        return {(g.src, (gid,)): _QQ.one}
 
     def multiply_paths(self, p, q):
         """Product p*q where q is applied first (left-module convention)."""
@@ -183,7 +188,7 @@ class BoundQuiverAlgebra:
         if cached is not None:
             return cached
         comp = self._compose(q, p)
-        result = {} if comp is None else self._reduce_raw({comp: Fraction(1)})
+        result = {} if comp is None else self._reduce_raw({comp: _QQ.one})
         self._mult_cache[key] = result
         return result
 
@@ -193,7 +198,7 @@ class BoundQuiverAlgebra:
         for p, cp in x.items():
             for q, cq in y.items():
                 for r, cr in self.multiply_paths(p, q).items():
-                    out[r] = out.get(r, Fraction(0)) + cp * cq * cr
+                    out[r] = out.get(r, _QQ.zero) + cp * cq * cr
         return {p: c for p, c in out.items() if c}
 
     def corner_basis(self, i, j):
@@ -201,15 +206,19 @@ class BoundQuiverAlgebra:
         return [p for p in self.basis if p[0] == i and self.path_target(p) == j]
 
     def opposite(self):
-        gens = [
-            Gen(g.name, g.tgt, g.src, g.is_loop, g.max_run, g.order)
-            for g in self.gens
-        ]
-        rels = [
-            [(c, (self.path_target(p), tuple(reversed(p[1])))) for c, p in rel]
-            for rel in self.relations
-        ]
-        return BoundQuiverAlgebra(self.n, gens, rels)
+        """The opposite algebra, built once; its opposite is ``self``."""
+        if self._opposite is None:
+            gens = [
+                Gen(g.name, g.tgt, g.src, g.is_loop, g.max_run, g.order)
+                for g in self.gens
+            ]
+            rels = [
+                [(c, (self.path_target(p), tuple(reversed(p[1])))) for c, p in rel]
+                for rel in self.relations
+            ]
+            self._opposite = BoundQuiverAlgebra(self.n, gens, rels)
+            self._opposite._opposite = self
+        return self._opposite
 
     def to_json_dict(self):
         return {

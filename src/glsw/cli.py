@@ -35,16 +35,6 @@ def _parse_caps(text):
     return caps
 
 
-def _parse_primes(text):
-    try:
-        primes = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"primes must be a comma list (got {text!r})")
-    if not primes or any(p < 2 for p in primes):
-        raise argparse.ArgumentTypeError("primes must be integers >= 2")
-    return primes
-
-
 def _parse_vector(text):
     try:
         return [int(x) for x in text.split(",")]
@@ -54,7 +44,6 @@ def _parse_vector(text):
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None, help="base random seed")
-    parser.add_argument("--primes", type=_parse_primes, default=(3, 5, 7))
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
     parser.add_argument(
         "--caps", type=_parse_caps, default={"dim": 8, "enum": 1_000_000}
@@ -186,7 +175,6 @@ def cmd_verify(args):
         return 2
     config = {
         "seed": _resolve_seed(args),
-        "primes": args.primes,
         "dim_cap": args.caps.get("dim", 8),
         "enum_cap": args.caps.get("enum", 1_000_000),
     }

@@ -1,39 +1,119 @@
 """Exact dense linear algebra over the rationals and prime fields.
 
-Matrices are immutable-by-convention ``Mat`` objects carrying a field tag:
-``p=None`` means rational entries (``fractions.Fraction``), ``p`` a prime
-< 2**31 means residues in [0, p).  Everything downstream (Hom spaces,
-presentations, submodule lattices) funnels through the handful of operations
-here, so determinism matters: pivoting is always "first nonzero in column
-order" and no randomization happens at this layer.
+Matrices are immutable-by-convention ``Mat`` objects tagged with ``p``:
+``None`` for the rationals, a prime < 2**31 for F_p.  How a field element is
+represented is decided here and nowhere else: ``_field(p)`` returns the field,
+which carries its zero and one, the coercion of integers and fractions into
+it, inverses, the reduction and scaling of entry lists, and the random draw
+used by samplers.  Over Q entries are ``fractions.Fraction``; over F_p they
+are ints in [0, p), and a fraction maps to numerator times inverse
+denominator, raising ``ZeroDivisionError`` when p divides the denominator
+instead of truncating.  The elimination and product kernels pick their
+arithmetic once per call and reduce inline.
+
+Everything downstream (Hom spaces, presentations, submodule lattices)
+funnels through the handful of operations here, so determinism matters:
+pivoting is always "first nonzero in column order" and no randomization
+happens at this layer.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 from glsw import fpkernel
 
 MAX_PRIME = 2**31
+# random rational draws are integers in [-BOX, BOX]
+BOX = 50
 
 
-def _check_prime(p):
-    if p is not None:
+class _Rationals:
+    """Q, with ``Fraction`` entries."""
+
+    p = None
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    @staticmethod
+    def coerce(x):
+        # a Fraction is immutable, so it is its own coercion
+        return x if type(x) is Fraction else Fraction(x)
+
+    @staticmethod
+    def inv(x):
+        return 1 / Fraction(x)
+
+    @staticmethod
+    def reduce(xs):
+        return list(xs)
+
+    @staticmethod
+    def scale(xs, s):
+        return [x * s for x in xs]
+
+    @staticmethod
+    def sub_scaled(xs, s, ys):
+        return [x - s * y for x, y in zip(xs, ys)]
+
+    @staticmethod
+    def random(rng):
+        return Fraction(rng.randint(-BOX, BOX))
+
+
+class _PrimeField:
+    """F_p, with int entries in [0, p)."""
+
+    zero = 0
+    one = 1
+
+    def __init__(self, p):
         if p < 2 or p >= MAX_PRIME:
             raise ValueError(f"modulus {p} out of range")
         if any(p % q == 0 for q in range(2, min(p, 1 + math.isqrt(p)))):
             raise ValueError(f"modulus {p} is not prime")
+        self.p = p
+
+    def coerce(self, x):
+        """x in F_p: numerator times inverse denominator, never truncated."""
+        p = self.p
+        if type(x) is int:
+            return x % p
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        if x.denominator == 1:
+            return x.numerator % p
+        if x.denominator % p == 0:
+            raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
+        return x.numerator * pow(x.denominator, -1, p) % p
+
+    def inv(self, x):
+        return pow(x, -1, self.p)
+
+    def reduce(self, xs):
+        p = self.p
+        return [x % p for x in xs]
+
+    def scale(self, xs, s):
+        p = self.p
+        return [x * s % p for x in xs]
+
+    def sub_scaled(self, xs, s, ys):
+        p = self.p
+        return [(x - s * y) % p for x, y in zip(xs, ys)]
+
+    def random(self, rng):
+        return rng.randrange(self.p)
 
 
-def _fp_coerce(x, p):
-    """x in F_p: numerator times inverse denominator, never truncated."""
-    if type(x) is int:
-        return x % p
-    x = Fraction(x)
-    if x.denominator % p == 0:
-        raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
-    return x.numerator * pow(x.denominator, -1, p) % p
+@functools.lru_cache(maxsize=64)
+def _field(p):
+    """Q when ``p`` is None, else F_p; ``ValueError`` unless p is a prime
+    below ``MAX_PRIME``."""
+    return _Rationals() if p is None else _PrimeField(p)
 
 
 class Mat:
@@ -58,21 +138,17 @@ class Mat:
             if len(r) != cols:
                 raise ValueError("ragged rows")
             flat.extend(r)
-        if p is None:
-            flat = [Fraction(x) for x in flat]
-        else:
-            flat = [_fp_coerce(x, p) for x in flat]
-        return cls(rows, cols, flat, p)
+        coerce = _field(p).coerce
+        return cls(rows, cols, [coerce(x) for x in flat], p)
 
     @classmethod
     def zero(cls, rows, cols, p=None):
-        z = 0 if p is not None else Fraction(0)
-        return cls(rows, cols, [z] * (rows * cols), p)
+        return cls(rows, cols, [_field(p).zero] * (rows * cols), p)
 
     @classmethod
     def identity(cls, n, p=None):
         m = cls.zero(n, n, p)
-        one = 1 if p is not None else Fraction(1)
+        one = _field(p).one
         for i in range(n):
             m.data[i * n + i] = one
         return m
@@ -113,9 +189,7 @@ class Mat:
         self._same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        data = [a + b for a, b in zip(self.data, other.data)]
-        if self.p is not None:
-            data = [x % self.p for x in data]
+        data = _field(self.p).reduce([a + b for a, b in zip(self.data, other.data)])
         return Mat(self.rows, self.cols, data, self.p)
 
     def __sub__(self, other):
@@ -125,13 +199,8 @@ class Mat:
         return self.scale(-1)
 
     def scale(self, s):
-        if self.p is not None:
-            s = _fp_coerce(s, self.p)
-            data = [x * s % self.p for x in self.data]
-        else:
-            s = Fraction(s)
-            data = [x * s for x in self.data]
-        return Mat(self.rows, self.cols, data, self.p)
+        F = _field(self.p)
+        return Mat(self.rows, self.cols, F.scale(self.data, F.coerce(s)), self.p)
 
     def __mul__(self, other):
         self._same_field(other)
@@ -159,12 +228,9 @@ class Mat:
     def matvec(self, v):
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = self.row(i)
-            s = sum(a * b for a, b in zip(row, v))
-            out.append(s % self.p if self.p is not None else s)
-        return out
+        return _field(self.p).reduce(
+            [sum(map(operator.mul, self.row(i), v)) for i in range(self.rows)]
+        )
 
     def transpose(self):
         data = [self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
@@ -205,7 +271,8 @@ class Mat:
         """Reduce a rational matrix mod p; fails if a denominator vanishes."""
         if self.p is not None:
             raise ValueError("already over a prime field")
-        return Mat(self.rows, self.cols, [_fp_coerce(x, p) for x in self.data], p)
+        coerce = _field(p).coerce
+        return Mat(self.rows, self.cols, [coerce(x) for x in self.data], p)
 
 
 def rref(M):
@@ -280,17 +347,12 @@ def solve(M, b):
     """A particular solution x of Mx = b, or None when inconsistent."""
     if len(b) != M.rows:
         raise ValueError("dimension mismatch")
-    if M.p is not None:
-        b = [_fp_coerce(x, M.p) for x in b]
-        bm = Mat(M.rows, 1, b, M.p)
-    else:
-        bm = Mat(M.rows, 1, [Fraction(x) for x in b], None)
-    aug = M.hstack(bm)
+    F = _field(M.p)
+    aug = M.hstack(Mat(M.rows, 1, [F.coerce(x) for x in b], M.p))
     R, pivots = rref(aug)
     if M.cols in pivots:
         return None
-    zero = 0 if M.p is not None else Fraction(0)
-    x = [zero] * M.cols
+    x = [F.zero] * M.cols
     for r, c in enumerate(pivots):
         x[c] = R[r, M.cols]
     return x
@@ -301,7 +363,7 @@ def kernel_basis(M):
     nonzero coordinate is 1."""
     R, pivots = rref(M)
     reduced = {c: enumerate(R.row(r)) for r, c in enumerate(pivots)}
-    return _kernel_vectors(reduced, M.cols, M.p)
+    return _kernel_vectors(reduced, M.cols, _field(M.p))
 
 
 def sparse_kernel_basis(rows, ncols, p=None):
@@ -312,19 +374,16 @@ def sparse_kernel_basis(rows, ncols, p=None):
     each pivot, then back-substitution from the last pivot.  The reduced row
     echelon form of a row space is unique, so the pivot choice changes the
     cost only, never the result."""
-    if p is None:
-        active = [{j: Fraction(x) for j, x in r.items() if x} for r in rows]
-    else:
-        active = [{j: y for j, x in r.items() if (y := _fp_coerce(x, p))} for r in rows]
+    F = _field(p)
+    active = [{j: y for j, x in r.items() if (y := F.coerce(x))} for r in rows]
     echelon = {}  # pivot column -> its row, scaled to a leading 1
     for c in range(ncols):
         hits = [r for r in active if c in r]
         if not hits:
             continue
         piv = min(hits, key=len)
-        inv = pow(piv[c], -1, p) if p is not None else 1 / piv[c]
-        for j, x in piv.items():
-            piv[j] = x * inv % p if p is not None else x * inv
+        # scaled in place: hits and active track the row by identity
+        piv.update(zip(list(piv), F.scale(piv.values(), F.inv(piv[c]))))
         for r in hits:
             if r is not piv:
                 _sub_multiple(r, r[c], piv, p)
@@ -335,7 +394,7 @@ def sparse_kernel_basis(rows, ncols, p=None):
         row = echelon[c]
         for j in [j for j in row if j != c and j in echelon]:
             _sub_multiple(row, row[j], echelon[j], p)
-    return _kernel_vectors({c: r.items() for c, r in echelon.items()}, ncols, p)
+    return _kernel_vectors({c: r.items() for c, r in echelon.items()}, ncols, F)
 
 
 def _sub_multiple(row, f, piv, p):
@@ -350,28 +409,19 @@ def _sub_multiple(row, f, piv, p):
             del row[j]
 
 
-def _kernel_vectors(reduced, ncols, p):
-    """One vector per free column from the reduced echelon rows, given as
-    pivot column -> (column, entry) pairs; first nonzero coordinate 1."""
-    zero, one = (0, 1) if p is not None else (Fraction(0), Fraction(1))
-    basis = {f: [zero] * ncols for f in range(ncols) if f not in reduced}
+def _kernel_vectors(reduced, ncols, F):
+    """One vector per free column over the field F from the reduced echelon
+    rows, given as pivot column -> (column, entry) pairs; first nonzero
+    coordinate 1."""
+    basis = {f: [F.zero] * ncols for f in range(ncols) if f not in reduced}
     for f, v in basis.items():
-        v[f] = one
+        v[f] = F.one
     for c, items in reduced.items():
         for j, x in items:
             if x and j != c:
-                basis[j][c] = (-x) % p if p is not None else -x
-    return [_normalize_first(v, p) for v in basis.values()]
-
-
-def _normalize_first(v, p):
-    lead = next((x for x in v if x != 0), None)
-    if lead is None:
-        return v
-    if p is not None:
-        inv = pow(lead, -1, p)
-        return [x * inv % p for x in v]
-    return [x / lead for x in v]
+                basis[j][c] = -x
+    # the free column's 1 is nonzero, so every vector has a leading entry
+    return [F.scale(v, F.inv(next(x for x in v if x))) for v in basis.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +442,7 @@ def poly_mul(f, g, p=None):
         if a:
             for j, b in enumerate(g):
                 out[i + j] += a * b
-    if p is not None:
-        out = [x % p for x in out]
-    return poly_trim(out)
+    return poly_trim(_field(p).reduce(out))
 
 
 def poly_divmod(f, g, p=None):
@@ -403,21 +451,17 @@ def poly_divmod(f, g, p=None):
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     dg = len(g) - 1
-    lead = g[-1]
-    inv = pow(lead, -1, p) if p is not None else 1 / Fraction(lead)
+    F = _field(p)
+    inv = F.inv(g[-1])
+    coerce, sub_scaled = F.coerce, F.sub_scaled
     q = [0] * max(0, len(f) - dg)
-    while len(poly_trim(f)) - 1 >= dg and poly_trim(f):
-        f = poly_trim(f)
+    f = poly_trim(f)
+    while len(f) > dg:
         d = len(f) - 1 - dg
-        c = f[-1] * inv
-        if p is not None:
-            c %= p
-        q[d] = c
-        for i, b in enumerate(g):
-            f[d + i] -= c * b
-            if p is not None:
-                f[d + i] %= p
-    return poly_trim(q), poly_trim(f)
+        c = q[d] = coerce(f[-1] * inv)
+        f[d:] = sub_scaled(f[d:], c, g)
+        f = poly_trim(f)
+    return poly_trim(q), f
 
 
 def poly_gcd(f, g, p=None):
@@ -436,11 +480,8 @@ def poly_monic(f, p=None):
     f = poly_trim(f)
     if not f:
         return f
-    lead = f[-1]
-    if p is not None:
-        inv = pow(lead, -1, p)
-        return [c * inv % p for c in f]
-    return [Fraction(c) / lead for c in f]
+    F = _field(p)
+    return F.scale(f, F.inv(f[-1]))
 
 
 def poly_pow_mod(f, e, mod, p):
@@ -456,10 +497,7 @@ def poly_pow_mod(f, e, mod, p):
 
 
 def poly_deriv(f, p=None):
-    out = [i * c for i, c in enumerate(f)][1:]
-    if p is not None:
-        out = [x % p for x in out]
-    return poly_trim(out)
+    return poly_trim(_field(p).reduce([i * c for i, c in enumerate(f)][1:]))
 
 
 def poly_eval_mat(f, M):
@@ -479,16 +517,15 @@ def minimal_polynomial(M):
         raise ValueError("minimal polynomial of non-square matrix")
     n = M.rows
     p = M.p
+    F = _field(p)
     if n == 0:
         return [1]
     m = [1]
     for seed in range(n):
         if len(m) - 1 == n:
             break
-        zero = 0 if p is not None else Fraction(0)
-        one = 1 if p is not None else Fraction(1)
-        v = [zero] * n
-        v[seed] = one
+        v = [F.zero] * n
+        v[seed] = F.one
         # local minimal polynomial of M relative to v
         krylov = []
         vec = v
@@ -501,7 +538,7 @@ def minimal_polynomial(M):
         # express vec in terms of the krylov vectors: K^T c = vec
         KT = Mat(len(krylov), n, [x for r in krylov for x in r], p).transpose()
         coeffs = solve(KT, vec)
-        local = [(-c) % p if p is not None else -c for c in coeffs] + [one]
+        local = F.reduce([-c for c in coeffs]) + [F.one]
         m = poly_lcm(m, local, p)
     return m
 
@@ -606,8 +643,7 @@ def factor_primefield(f, p, seed=0):
     monic)."""
     import random
 
-    _check_prime(p)
-    f = poly_trim([c % p for c in f])
+    f = poly_trim(_field(p).reduce(f))
     if not f:
         raise ValueError("zero polynomial")
     rng = random.Random((seed, p, tuple(f)).__repr__())

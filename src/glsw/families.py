@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from glsw.algebra import BoundQuiverAlgebra, Gen, gls_presentation
-from glsw.exact import Mat
+from glsw.exact import Mat, _field
 from glsw.quivers import catalog_affine
 from glsw import reps as R
 
@@ -56,19 +56,25 @@ def bc1_root(series, i, n):
 
 def _shift(n, p=None):
     m = Mat.zero(n, n, p)
-    one = 1 if p is not None else Fraction(1)
+    one = _field(p).one
     for k in range(n - 1):
         m.data[(k + 1) * n + k] = one
     return m
 
 
-def bc1_V(l1, l2, p=None):
-    """The rank (1, 2) family member at the projective-line point (l1 : l2)."""
+def _point(l1, l2, p):
+    """The coordinates of the projective-line point (l1 : l2) in the field."""
+    F = _field(p)
+    l1, l2 = F.coerce(l1), F.coerce(l2)
     if l1 == 0 and l2 == 0:
         raise ValueError("(0 : 0) is not a projective-line point")
+    return l1, l2
+
+
+def bc1_V(l1, l2, p=None):
+    """The rank (1, 2) family member at the projective-line point (l1 : l2)."""
+    l1, l2 = _point(l1, l2, p)
     A = bc1_algebra()
-    l1 = Fraction(l1) if p is None else int(l1) % p
-    l2 = Fraction(l2) if p is None else int(l2) % p
     alpha = Mat.from_rows([[1, 0], [0, l2], [0, l1], [0, 0]], p)
     return R.Rep(A, [4, 2], {0: alpha, 1: _shift(4, p)}, p)
 
@@ -211,8 +217,8 @@ def extending_algebra(data):
 def b_family(ext, l1, l2, p=None):
     """The projective-line family member at (l1 : l2) over an extending
     algebra; (1 : 0) is the degenerate point at infinity."""
-    if l1 == 0 and l2 == 0:
-        raise ValueError("(0 : 0) is not a projective-line point")
+    l1, l2 = _point(l1, l2, p)
+    inv = _field(p).inv
     A = ext.algebra
     if ext.case == "kronecker":
         a = Mat.from_rows([[l1]], p)
@@ -223,15 +229,13 @@ def b_family(ext, l1, l2, p=None):
             # self-extension of the unique dimension-(1,1) brick
             beta = Mat.identity(2, p)
         else:
-            lam = Fraction(l1, l2) if p is None else l1 * pow(l2, -1, p) % p
-            beta = Mat.from_rows([[0, 1], [lam, 0]], p)
+            beta = Mat.from_rows([[0, 1], [l1 * inv(l2), 0]], p)
         return R.Rep(A, [2, 2], {0: beta, 1: _shift(2, p), 2: _shift(2, p)}, p)
     if ext.case == "triple":
         if l2 == 0:
             # the unique brick in dimension (1, 1)
             return R.Rep(A, [1, 1], {0: Mat.identity(1, p)}, p)
-        lam = Fraction(l1, l2) if p is None else l1 * pow(l2, -1, p) % p
-        beta = Mat.from_rows([[0, 1, 0], [0, 0, -1], [lam, 0, 0]], p)
+        beta = Mat.from_rows([[0, 1, 0], [0, 0, -1], [l1 * inv(l2), 0, 0]], p)
         return R.Rep(A, [3, 3], {0: beta, 1: _shift(3, p), 2: _shift(3, p)}, p)
     if ext.case == "thick":
         beta = Mat.from_rows([[0, 0, 0, 1], [0, l1, l2, 0]], p)

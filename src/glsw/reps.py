@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from glsw.exact import (
     Mat,
+    _field,
     factor_primefield,
     kernel_basis,
     minimal_polynomial,
@@ -72,8 +73,7 @@ class Rep:
         for path, coef in elem.items():
             if path[0] != src or self.algebra.path_target(path) != tgt:
                 raise ValueError("element is not supported on a single corner")
-            c = coef if self.p is None else int(coef) % self.p
-            out = out + self.path_matrix(path).scale(c)
+            out = out + self.path_matrix(path).scale(coef)
         return out
 
 
@@ -127,8 +127,7 @@ def validate(V):
         tgt = A.path_target(rel[0][1])
         acc = Mat.zero(V.dims[tgt], V.dims[src], V.p)
         for coef, path in rel:
-            c = coef if V.p is None else int(coef) % V.p
-            acc = acc + V.path_matrix(path).scale(c)
+            acc = acc + V.path_matrix(path).scale(coef)
         if not acc.is_zero():
             bad.append(("relation", k))
     return bad
@@ -173,14 +172,13 @@ def projective(algebra, i, p=None):
     index = [{path: k for k, path in enumerate(c)} for c in corners]
     dims = [len(c) for c in corners]
     mats = {}
-    one = 1 if p is not None else Fraction(1)
+    coerce = _field(p).coerce
     for gid, g in enumerate(algebra.gens):
         m = Mat.zero(dims[g.tgt], dims[g.src], p)
         for col, path in enumerate(corners[g.src]):
             prod = algebra.multiply_paths((g.src, (gid,)), path)
             for q, coef in prod.items():
-                c = coef if p is None else int(coef) % p
-                m.data[index[g.tgt][q] * m.cols + col] = c * one
+                m.data[index[g.tgt][q] * m.cols + col] = coerce(coef)
         mats[gid] = m
     return Rep(algebra, dims, mats, p)
 
@@ -193,7 +191,7 @@ def dual(V, opposite_algebra):
 
 def injective(algebra, i, p=None):
     """I_i as the linear dual of the right projective at i."""
-    right = projective(_get_opposite(algebra), i, p)
+    right = projective(algebra.opposite(), i, p)
     return dual(right, algebra)
 
 
@@ -206,7 +204,7 @@ def generalized_simple(algebra, i, p=None):
     for gid, g in enumerate(algebra.gens):
         if g.is_loop and g.src == i:
             m = Mat.zero(c, c, p)
-            one = 1 if p is not None else Fraction(1)
+            one = _field(p).one
             for k in range(c - 1):
                 m.data[(k + 1) * c + k] = one
             mats[gid] = m
@@ -328,13 +326,14 @@ def _top_generators(V):
     for i in range(V.algebra.n):
         for j in _complement_indices(rad[i], V.dims[i], V.p):
             e = [0] * V.dims[i]
-            e[j] = 1 if V.p is not None else Fraction(1)
+            e[j] = _field(V.p).one
             gens.append((i, e))
     return gens
 
 
 def minimal_presentation(V):
     A = V.algebra
+    coerce = _field(V.p).coerce
     top = _top_generators(V)
     proj0 = [i for i, _ in top]
     # cover map P0 -> V: basis path q of the s-th copy P_{b_s} maps to rho(q)*v_s
@@ -353,7 +352,7 @@ def minimal_presentation(V):
                 c = vec[pos]
                 pos += 1
                 if c:
-                    entry[q] = c if V.p is not None else Fraction(c)
+                    entry[q] = coerce(c)
             row.append(entry)
         psi.append(row)
     return Presentation(proj0, proj1, psi, cover)
@@ -393,9 +392,7 @@ def _kernel_subrep_generators(V, top, cover):
         for coef, bvec in zip(vec, basis):
             for k, x in enumerate(bvec):
                 amb[k] += coef * x
-        if V.p is not None:
-            amb = [x % V.p for x in amb]
-        out.append((v, amb))
+        out.append((v, _field(V.p).reduce(amb)))
     return {"top": out, "sub": K}
 
 
@@ -435,8 +432,9 @@ def _subrep(V, bases):
 def _quotient_rep(V, bases):
     """Quotient of V by the generator-stable subspaces spanned by ``bases``."""
     A = V.algebra
+    F = _field(V.p)
     proj = []  # per-vertex projection matrices (complement coordinates)
-    dims = []
+    frees = []  # per-vertex positions outside the pivots of the basis
     for i in range(A.n):
         if bases[i]:
             M = Mat.from_rows(bases[i], V.p)
@@ -444,37 +442,27 @@ def _quotient_rep(V, bases):
             free = [j for j in range(V.dims[i]) if j not in set(pivots)]
             # x -> coordinates on free positions after subtracting pivot parts
             P = Mat.zero(len(free), V.dims[i], V.p)
-            one = 1 if V.p is not None else Fraction(1)
             for r, j in enumerate(free):
-                P.data[r * P.cols + j] = one
+                P.data[r * P.cols + j] = F.one
                 for k, piv in enumerate(pivots):
                     val = R[k, j]
                     if val:
-                        P.data[r * P.cols + piv] = -val if V.p is None else (-val) % V.p
+                        P.data[r * P.cols + piv] = F.coerce(-val)
         else:
             P = Mat.identity(V.dims[i], V.p)
             free = list(range(V.dims[i]))
         proj.append(P)
-        dims.append(P.rows)
+        frees.append(free)
+    dims = [len(free) for free in frees]
     mats = {}
     for gid, g in enumerate(A.gens):
         s, t = g.src, g.tgt
         # induced map: restrict to the free coordinates of the source
         lift = Mat.zero(V.dims[s], dims[s], V.p)
-        one = 1 if V.p is not None else Fraction(1)
-        srcfree = _free_positions(bases[s], V.dims[s], V.p)
-        for c, j in enumerate(srcfree):
-            lift.data[j * lift.cols + c] = one
+        for c, j in enumerate(frees[s]):
+            lift.data[j * lift.cols + c] = F.one
         mats[gid] = proj[t] * (V.mats[gid] * lift)
     return Rep(A, dims, mats, V.p)
-
-
-def _free_positions(base_rows, dim, p):
-    if not base_rows:
-        return list(range(dim))
-    M = Mat.from_rows(base_rows, p)
-    _, pivots = rref(M)
-    return [j for j in range(dim) if j not in set(pivots)]
 
 
 def g_vector(V):
@@ -542,14 +530,14 @@ def _right_projective_rep(algebra, opposite, a, p):
     index = [{path: k for k, path in enumerate(c)} for c in corners]
     dims = [len(c) for c in corners]
     mats = {}
+    coerce = _field(p).coerce
     for gid, g in enumerate(algebra.gens):
         # in the opposite algebra this generator runs g.tgt -> g.src
         m = Mat.zero(dims[g.src], dims[g.tgt], p)
         for col, path in enumerate(corners[g.tgt]):
             prod = algebra.multiply_paths(path, (g.src, (gid,)))
             for q, coef in prod.items():
-                c = coef if p is None else int(coef) % p
-                m.data[index[g.src][q] * m.cols + col] = c
+                m.data[index[g.src][q] * m.cols + col] = coerce(coef)
         mats[gid] = m
     return Rep(opposite, dims, mats, p)
 
@@ -581,11 +569,8 @@ def _transpose_module(algebra, opposite, pres, p):
                             {x: Fraction(1)},
                         )
                         for q, c in prod.items():
-                            cc = c if p is None else int(c) % p
-                            vec[pos + idx[q]] += cc
+                            vec[pos + idx[q]] += c
                     pos += len(paths_va)
-                if p is not None:
-                    vec = [int(y) % p for y in vec]
                 img[v].append(vec)
     bases = []
     for v in range(opposite.n):
@@ -598,19 +583,10 @@ def _transpose_module(algebra, opposite, pres, p):
     return _quotient_rep(amb, bases)
 
 
-def _get_opposite(algebra, _cache={}):
-    op = _cache.get(id(algebra))
-    if op is None:
-        op = algebra.opposite()
-        _cache[id(algebra)] = op
-        _cache[id(op)] = algebra
-    return op
-
-
 def ar_translate(V):
     """tau(V) = D Tr(V); projective summands are annihilated."""
     A = V.algebra
-    op = _get_opposite(A)
+    op = A.opposite()
     pres = minimal_presentation(V)
     tr = _transpose_module(A, op, pres, V.p)
     return dual(tr, A)
@@ -619,7 +595,7 @@ def ar_translate(V):
 def ar_inverse(V):
     """tau^{-}(V) = Tr D(V); injective summands are annihilated."""
     A = V.algebra
-    op = _get_opposite(A)
+    op = A.opposite()
     dv = dual(V, op)
     pres = minimal_presentation(dv)
     return _transpose_module(op, A, pres, V.p)
@@ -661,12 +637,8 @@ def _random_combination(basis, V, rng):
     if not basis:
         return None
     f = {}
-    coeffs = []
-    for _ in basis:
-        if V.p is not None:
-            coeffs.append(rng.randrange(V.p))
-        else:
-            coeffs.append(Fraction(rng.randint(-50, 50)))
+    F = _field(V.p)
+    coeffs = [F.random(rng) for _ in basis]
     for i in range(V.algebra.n):
         acc = None
         for c, b in zip(coeffs, basis):
@@ -744,7 +716,7 @@ def _block_regular_nilpotent(c, r, p):
     """r Jordan blocks of size c, ones on the subdiagonal of each block."""
     d = c * r
     m = Mat.zero(d, d, p)
-    one = 1 if p is not None else Fraction(1)
+    one = _field(p).one
     for b in range(r):
         for k in range(c - 1):
             row = b * c + k + 1
@@ -753,14 +725,15 @@ def _block_regular_nilpotent(c, r, p):
     return m
 
 
-def random_locally_free(algebra, r, seed=0, p=None, box=50):
+def random_locally_free(algebra, r, seed=0, p=None):
     """A random representation with free loop restrictions of rank r.
 
     Loops are fixed block-regular nilpotents; arrow entries are solved
-    against the relations and sampled from the kernel (integer box over the
-    rationals, whole field over F_p).
+    against the relations and sampled from the kernel (integers in
+    [-exact.BOX, exact.BOX] over the rationals, whole field over F_p).
     """
     A = algebra
+    F = _field(p)
     if any(x < 0 for x in r):
         raise ValueError("negative rank")
     dims = [vertex_capacity(A, i) * r[i] for i in range(A.n)]
@@ -818,7 +791,7 @@ def random_locally_free(algebra, r, seed=0, p=None, box=50):
                     # sum_{k,l} post[er,k] X[k,l] pre[l,ec]
                     g = A.gens[agid]
                     dk, dl = dims[g.tgt], dims[g.src]
-                    c = coef if p is None else int(coef) % p
+                    c = F.coerce(coef)
                     for k in range(dk):
                         pk = post[er, k]
                         if not pk:
@@ -827,33 +800,23 @@ def random_locally_free(algebra, r, seed=0, p=None, box=50):
                             pl = pre[l, ec]
                             if pl:
                                 row[offs[agid] + k * dl + l] += c * pk * pl
-                if p is not None:
-                    row = [int(x) % p for x in row]
                 rows.append(row)
     rng = random.Random(f"rlf:{seed}")
     if total == 0:
         coords = []
     elif rows:
         M = Mat.from_rows(rows, p)
-        free = kernel_basis(M)
-        coords = [0] * total
-        for v in free:
-            c = rng.randrange(p) if p is not None else Fraction(rng.randint(-box, box))
+        coords = [F.zero] * total
+        for v in kernel_basis(M):
+            c = F.random(rng)
             coords = [a + c * b for a, b in zip(coords, v)]
-        if p is not None:
-            coords = [int(x) % p for x in coords]
+        coords = F.reduce(coords)
     else:
-        coords = [
-            rng.randrange(p) if p is not None else Fraction(rng.randint(-box, box))
-            for _ in range(total)
-        ]
+        coords = [F.random(rng) for _ in range(total)]
     for gid in arrow_ids:
         g = A.gens[gid]
         dk, dl = dims[g.tgt], dims[g.src]
-        data = coords[offs[gid] : offs[gid] + dk * dl]
-        if p is None:
-            data = [Fraction(x) for x in data]
-        mats[gid] = Mat(dk, dl, list(data), p)
+        mats[gid] = Mat(dk, dl, coords[offs[gid] : offs[gid] + dk * dl], p)
     V = Rep(A, dims, mats, p)
     if validate(V):
         raise AssertionError("sampled representation violates relations")
@@ -897,6 +860,6 @@ def from_json(algebra, s):
         if p is None:
             entries = [Fraction(a, b) for a, b in data]
         else:
-            entries = [int(x) % p for x in data]
+            entries = [_field(p).coerce(x) for x in data]
         mats[gid] = Mat(rows, cols, entries, p)
     return Rep(algebra, d["dims"], mats, p)

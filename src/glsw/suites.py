@@ -18,8 +18,6 @@ from glsw import decomposition as D, families as F, reps as R, stability as S
 
 DEFAULT_CONFIG = {
     "seed": 0,
-    "primes": (3, 5, 7),
-    "box": 50,
     "dim_cap": 8,
     "enum_cap": 1_000_000,
 }

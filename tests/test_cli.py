@@ -45,6 +45,12 @@ def test_unknown_command_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_removed_primes_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "stability", "--primes", "3"])
+    assert exc.value.code == 2
+
+
 def test_decompose_oracle(capsys):
     code, out = run(capsys, "decompose", "BC1", "-v", "2,4", "--seed", "5")
     assert code == 0

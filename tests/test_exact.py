@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glsw.exact import (
+    BOX,
     Mat,
+    _field,
     factor_primefield,
     kernel_basis,
     minimal_polynomial,
@@ -195,6 +198,29 @@ def test_solve_maps_fractions_into_fp():
     assert solve(Mat.identity(1, p=5), [Fraction(1, 2)]) == [3]
     with pytest.raises(ZeroDivisionError):
         solve(Mat.identity(1, p=5), [Fraction(1, 10)])
+
+
+def test_field_elements_coercion_and_draws():
+    Q, F5 = _field(None), _field(5)
+    assert _field(5) is F5 and Q.p is None and F5.p == 5
+    assert (type(Q.zero), type(Q.one), Q.zero, Q.one) == (Fraction, Fraction, 0, 1)
+    assert (type(F5.zero), type(F5.one), F5.zero, F5.one) == (int, int, 0, 1)
+    assert type(Q.coerce(3)) is Fraction and Q.coerce(Fraction(1, 2)) == Fraction(1, 2)
+    assert [F5.coerce(x) for x in (7, -1, Fraction(1, 2), Fraction(-3, 4))] == [2, 4, 3, 3]
+    with pytest.raises(ZeroDivisionError):
+        F5.coerce(Fraction(1, 10))
+    assert (Q.inv(2), F5.inv(2)) == (Fraction(1, 2), 3)
+    assert (Q.reduce([1, -2]), F5.reduce([5, -1, 12])) == ([1, -2], [0, 4, 2])
+    assert F5.scale([1, 2], 3) == [3, 1]
+    assert Q.sub_scaled([1], Fraction(1, 2), [2]) == [0]
+    assert F5.sub_scaled([1, 2], 2, [3, 4]) == [0, 4]
+    # the draws samplers make: integers in [-BOX, BOX] over Q, all of F_p
+    q_rng, f_rng = random.Random(1), random.Random(1)
+    assert Q.random(q_rng) == Fraction(f_rng.randint(-BOX, BOX))
+    assert F5.random(q_rng) == f_rng.randrange(5)
+    for bad in (4, 1, 2**31):
+        with pytest.raises(ValueError):
+            _field(bad)
 
 
 sq = st.integers(-9, 9)

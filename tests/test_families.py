@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from glsw.quivers import catalog_affine
@@ -80,6 +82,12 @@ def test_infinity_extension_shape():
 def test_rejects_origin():
     with pytest.raises(ValueError):
         F.bc1_V(0, 0)
+
+
+def test_point_coordinates_reduce_mod_p():
+    assert F.bc1_V(Fraction(1, 2), 1, 5).mats == F.bc1_V(3, 1, 5).mats
+    with pytest.raises(ValueError):
+        F.bc1_V(5, 5, 5)  # (0 : 0) over F_5
 
 
 def test_listed_g_vectors_reconcile():

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from glsw.algebra import gls_presentation
+from glsw.algebra import BoundQuiverAlgebra, Gen, gls_presentation
 from glsw.exact import Mat
 from glsw.quivers import catalog_affine
 from glsw import reps as R
@@ -48,6 +49,22 @@ def test_injective_dimensions():
     A = algebra("BC1")
     assert R.injective(A, 0).dims == [4, 4]
     assert R.injective(A, 1).dims == [0, 1]
+    # the opposite algebra is built once and knows its own opposite
+    op = A.opposite()
+    assert A.opposite() is op and op.opposite() is A
+
+
+def test_fraction_structure_constants_reduce_mod_p():
+    # Kronecker quiver x, y: 0 -> 1 bound by x - 2y, so y acts as x / 2
+    gens = [Gen("x", 0, 1, False, None, 0), Gen("y", 0, 1, False, None, 1)]
+    rel = [(Fraction(1), (0, (0,))), (Fraction(-2), (0, (1,)))]
+    A = BoundQuiverAlgebra(2, gens, [rel])
+    P = R.projective(A, 0, 5)
+    assert R.validate(P) == []
+    assert P.mats[1].data == [3]  # 1/2 = 3 mod 5
+    assert R.validate(R.injective(A, 1, 5)) == []
+    with pytest.raises(ZeroDivisionError):
+        R.projective(A, 0, 2)
 
 
 def test_standard_modules_satisfy_relations():
