@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from glsw.exact import _field
+from glsw.exact import Echelon, _field
 from glsw.quivers import ValuedQuiver
 
 # the field of the structure constants
@@ -113,8 +113,11 @@ class BoundQuiverAlgebra:
         for p in paths:
             by_source.setdefault(p[0], []).append(p)
             by_target.setdefault(self.path_target(p), []).append(p)
-        # echelonized span of { prefix * relation * suffix }
-        self._rows = {}  # pivot path -> {path: Fraction}, pivot coeff 1
+        # the ideal spanned by { prefix * relation * suffix }, with the paths
+        # as columns in descending order, so each pivot is its row's largest
+        self._columns = sorted(paths, key=self._path_key, reverse=True)
+        self._column_of = {p: k for k, p in enumerate(self._columns)}
+        self._ideal = Echelon(None)
         for rel in self.relations:
             if not rel:
                 continue
@@ -126,60 +129,24 @@ class BoundQuiverAlgebra:
                     for coef, term in rel:
                         whole = (prefix[0], prefix[1] + term[1] + suffix[1])
                         if self._is_allowed(whole):
-                            elem[whole] = elem.get(whole, _QQ.zero) + coef
-                    self._insert_row(elem)
-        pivots = set(self._rows)
-        self.basis = sorted(
-            (p for p in paths if p not in pivots), key=self._path_key
-        )
+                            k = self._column_of[whole]
+                            elem[k] = elem.get(k, _QQ.zero) + coef
+                    self._ideal.insert(elem)
+        pivots = self._ideal.rows
+        self.basis = [
+            p for p in reversed(self._columns) if self._column_of[p] not in pivots
+        ]
         self.basis_index = {p: k for k, p in enumerate(self.basis)}
         self.dim = len(self.basis)
-
-    def _insert_row(self, elem):
-        elem = self._reduce_raw(elem)
-        if not elem:
-            return
-        pivot = max(elem, key=self._path_key)
-        inv = _QQ.inv(elem[pivot])
-        row = {p: c * inv for p, c in elem.items()}
-        # keep the stored rows fully reduced against each other
-        for piv, other in list(self._rows.items()):
-            if pivot in other:
-                c = other.pop(pivot)
-                for p, v in row.items():
-                    if p != pivot:
-                        other[p] = other.get(p, _QQ.zero) + (-c) * v
-                        if not other[p]:
-                            del other[p]
-        self._rows[pivot] = {p: c for p, c in row.items() if c}
-
-    def _reduce_raw(self, elem):
-        elem = {p: c for p, c in elem.items() if c}
-        changed = True
-        while changed:
-            changed = False
-            for p in sorted(elem, key=self._path_key, reverse=True):
-                row = self._rows.get(p)
-                if row is not None:
-                    c = elem.pop(p)
-                    for q, v in row.items():
-                        if q == p:
-                            continue
-                        elem[q] = elem.get(q, _QQ.zero) + (-c) * v
-                        if not elem[q]:
-                            del elem[q]
-                    changed = True
-                    break
-        return elem
+        corners = {}
+        for p in self.basis:
+            corners.setdefault((p[0], self.path_target(p)), []).append(p)
+        self._corners = {ij: tuple(ps) for ij, ps in corners.items()}
 
     # -- arithmetic in the algebra ------------------------------------------
 
     def idempotent(self, i):
         return {(i, ()): _QQ.one}
-
-    def generator_element(self, gid):
-        g = self.gens[gid]
-        return {(g.src, (gid,)): _QQ.one}
 
     def multiply_paths(self, p, q):
         """Product p*q where q is applied first (left-module convention)."""
@@ -188,7 +155,10 @@ class BoundQuiverAlgebra:
         if cached is not None:
             return cached
         comp = self._compose(q, p)
-        result = {} if comp is None else self._reduce_raw({comp: _QQ.one})
+        result = {}
+        if comp is not None:
+            normal = self._ideal.reduce({self._column_of[comp]: _QQ.one})
+            result = {self._columns[k]: c for k, c in normal.items()}
         self._mult_cache[key] = result
         return result
 
@@ -202,8 +172,8 @@ class BoundQuiverAlgebra:
         return {p: c for p, c in out.items() if c}
 
     def corner_basis(self, i, j):
-        """Basis paths of e_j H e_i (paths from i to j)."""
-        return [p for p in self.basis if p[0] == i and self.path_target(p) == j]
+        """Basis paths of e_j H e_i (paths from i to j), as a tuple."""
+        return self._corners.get((i, j), ())
 
     def opposite(self):
         """The opposite algebra, built once; its opposite is ``self``."""

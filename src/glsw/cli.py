@@ -42,12 +42,12 @@ def _parse_vector(text):
         raise argparse.ArgumentTypeError(f"vector must be a comma list (got {text!r})")
 
 
-def _add_common(parser):
+def _add_seed(parser):
     parser.add_argument("--seed", type=int, default=None, help="base random seed")
+
+
+def _add_format(parser):
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
-    parser.add_argument(
-        "--caps", type=_parse_caps, default={"dim": 8, "enum": 1_000_000}
-    )
 
 
 def build_parser():
@@ -59,17 +59,25 @@ def build_parser():
     cat = sub.add_parser("catalog", help="print a catalog quiver and its root data")
     cat.add_argument("family")
     cat.add_argument("rank", nargs="?", type=int, default=None)
-    _add_common(cat)
+    _add_format(cat)
 
     dec = sub.add_parser("decompose", help="split a rank vector as m*eta + w")
     dec.add_argument("family")
     dec.add_argument("rank", nargs="?", type=int, default=None)
     dec.add_argument("-v", "--vector", type=_parse_vector, required=True)
-    _add_common(dec)
+    _add_seed(dec)
+    _add_format(dec)
 
     ver = sub.add_parser("verify", help="run a named verification suite")
     ver.add_argument("suite")
-    _add_common(ver)
+    _add_seed(ver)
+    _add_format(ver)
+    ver.add_argument(
+        "--caps",
+        type=_parse_caps,
+        default={},
+        help="submodule search caps, e.g. dim=8,enum=1000000 (defaults per suite config)",
+    )
     return parser
 
 
@@ -173,11 +181,9 @@ def cmd_verify(args):
             ", ".join(sorted(suites.SUITES)),
         )
         return 2
-    config = {
-        "seed": _resolve_seed(args),
-        "dim_cap": args.caps.get("dim", 8),
-        "enum_cap": args.caps.get("enum", 1_000_000),
-    }
+    # caps not given keep the defaults of suites.DEFAULT_CONFIG
+    config = {f"{key}_cap": value for key, value in args.caps.items()}
+    config["seed"] = _resolve_seed(args)
     report = suites.run_suite(args.suite, config)
     report["schema"] = SCHEMA_VERSION
     report["command"] = "verify"

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
 Matrices are immutable-by-convention ``Mat`` objects tagged with ``p``:
 ``None`` for the rationals, a prime < 2**31 for F_p.  How a field element is
@@ -8,13 +8,19 @@ it, inverses, the reduction and scaling of entry lists, and the random draw
 used by samplers.  Over Q entries are ``fractions.Fraction``; over F_p they
 are ints in [0, p), and a fraction maps to numerator times inverse
 denominator, raising ``ZeroDivisionError`` when p divides the denominator
-instead of truncating.  The elimination and product kernels pick their
-arithmetic once per call and reduce inline.
+instead of truncating.
+
+There are two eliminations.  ``Echelon`` keeps the reduced row echelon basis
+of a growing span of sparse ``{column: entry}`` rows over either field; the
+rational ``rref`` and ``rank``, Krylov spaces, submodule spins and the ideal
+of relations of a bound quiver algebra all grow one.  Dense matrices over
+F_p go to the fixed ``fpkernel``.  ``sparse_kernel_basis`` stays a batch
+elimination, because choosing the sparsest pivot row needs all rows at once.
 
 Everything downstream (Hom spaces, presentations, submodule lattices)
 funnels through the handful of operations here, so determinism matters:
-pivoting is always "first nonzero in column order" and no randomization
-happens at this layer.
+results are reduced row echelon forms, which are unique, and no
+randomization happens at this layer.
 """
 
 from __future__ import annotations
@@ -275,87 +281,95 @@ class Mat:
         return Mat(self.rows, self.cols, [coerce(x) for x in self.data], p)
 
 
+class Echelon:
+    """Reduced row echelon basis of a growing row space over Q (p=None) or
+    F_p.
+
+    ``rows`` maps each pivot column to its row, a sparse ``{column: entry}``
+    dict with a leading 1 at the pivot and no entry in any other pivot
+    column.  A reduced row echelon basis is unique, so it does not depend on
+    the order in which rows were inserted."""
+
+    __slots__ = ("p", "rows")
+
+    def __init__(self, p=None):
+        self.p = p
+        self.rows = {}
+
+    def reduce(self, row):
+        """The residue of ``row`` (a sparse dict or a dense list) modulo the
+        span, as a sparse dict with no entry in a pivot column."""
+        coerce = _field(self.p).coerce
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        out = {j: y for j, x in items if x and (y := coerce(x))}
+        # a stored row has no entry in another pivot column, so one pass suffices
+        for c in [c for c in out if c in self.rows]:
+            _sub_multiple(out, out[c], self.rows[c], self.p)
+        return out
+
+    def insert(self, row):
+        """Add ``row`` to the span; ``False`` when it is already there."""
+        new = self.reduce(row)
+        if not new:
+            return False
+        F = _field(self.p)
+        c = min(new)
+        new = dict(zip(new, F.scale(new.values(), F.inv(new[c]))))
+        for other in self.rows.values():
+            if c in other:
+                _sub_multiple(other, other[c], new, self.p)
+        self.rows[c] = new
+        return True
+
+    def basis(self, ncols):
+        """The basis as dense rows of length ``ncols``, in pivot order."""
+        zero = _field(self.p).zero
+        out = []
+        for c in sorted(self.rows):
+            dense = [zero] * ncols
+            for j, x in self.rows[c].items():
+                dense[j] = x
+            out.append(dense)
+        return out
+
+
 def rref(M):
     """Reduced row echelon form (copy) and pivot column list."""
-    a = list(M.data)
     if M.p is not None:
+        a = list(M.data)
         pivots = fpkernel.rref(a, M.rows, M.cols, M.p)
         return Mat(M.rows, M.cols, a, M.p), pivots
-    nrows, ncols = M.rows, M.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if a[i * ncols + c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            for j in range(ncols):
-                a[r * ncols + j], a[piv * ncols + j] = a[piv * ncols + j], a[r * ncols + j]
-        inv = 1 / a[r * ncols + c]
-        for j in range(c, ncols):
-            a[r * ncols + j] *= inv
-        for i in range(nrows):
-            if i != r and a[i * ncols + c]:
-                f = a[i * ncols + c]
-                for j in range(c, ncols):
-                    a[i * ncols + j] -= f * a[r * ncols + j]
-        pivots.append(c)
-        r += 1
-    return Mat(nrows, ncols, a, None), pivots
+    E = _row_span(M)
+    data = [x for r in E.basis(M.cols) for x in r]
+    data += [_field(None).zero] * (M.rows * M.cols - len(data))
+    return Mat(M.rows, M.cols, data, None), sorted(E.rows)
 
 
 def rank(M):
     if M.p is not None:
-        a = list(M.data)
-        return len(fpkernel.rref(a, M.rows, M.cols, M.p))
-    return _bareiss_rank(M)
+        return len(fpkernel.rref(list(M.data), M.rows, M.cols, M.p))
+    return len(_row_span(M).rows)
 
 
-def _bareiss_rank(M):
-    """Fraction-free (Bareiss) elimination rank for rational matrices."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    # clear denominators row by row; row scaling preserves rank
-    a = []
+def _row_span(M):
+    E = Echelon(M.p)
     for i in range(M.rows):
-        row = M.row(i)
-        den = math.lcm(*(x.denominator for x in row)) if row else 1
-        a.append([int(x * den) for x in row])
-    nrows, ncols = M.rows, M.cols
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-    return r
+        E.insert(M.row(i))
+    return E
 
 
-def solve(M, b):
-    """A particular solution x of Mx = b, or None when inconsistent."""
-    if len(b) != M.rows:
+def solve(M, B):
+    """X with MX = B for the matrix B of right-hand sides, or None when a
+    column of B is outside the column space of M."""
+    if B.rows != M.rows:
         raise ValueError("dimension mismatch")
-    F = _field(M.p)
-    aug = M.hstack(Mat(M.rows, 1, [F.coerce(x) for x in b], M.p))
-    R, pivots = rref(aug)
-    if M.cols in pivots:
+    R, pivots = rref(M.hstack(B))
+    if pivots and pivots[-1] >= M.cols:
         return None
-    x = [F.zero] * M.cols
+    X = Mat.zero(M.cols, B.cols, M.p)
     for r, c in enumerate(pivots):
-        x[c] = R[r, M.cols]
-    return x
+        X.data[c * B.cols : (c + 1) * B.cols] = R.row(r)[M.cols :]
+    return X
 
 
 def kernel_basis(M):
@@ -527,17 +541,15 @@ def minimal_polynomial(M):
         v = [F.zero] * n
         v[seed] = F.one
         # local minimal polynomial of M relative to v
+        span = Echelon(p)
         krylov = []
         vec = v
-        while True:
-            rows = krylov + [vec]
-            if rank(Mat(len(rows), n, [x for r in rows for x in r], p)) < len(rows):
-                break
+        while span.insert(vec):
             krylov.append(vec)
             vec = M.matvec(vec)
         # express vec in terms of the krylov vectors: K^T c = vec
         KT = Mat(len(krylov), n, [x for r in krylov for x in r], p).transpose()
-        coeffs = solve(KT, vec)
+        coeffs = solve(KT, Mat(n, 1, vec, p)).data
         local = F.reduce([-c for c in coeffs]) + [F.one]
         m = poly_lcm(m, local, p)
     return m

@@ -57,12 +57,6 @@ class ValuedQuiver:
 
     # -- basic structure ----------------------------------------------------
 
-    def arrows_out(self, i):
-        return [e for e in self.edges if e[0] == i]
-
-    def arrows_in(self, i):
-        return [e for e in self.edges if e[1] == i]
-
     def neighbors(self, i):
         """(j, nu_ij, nu_ji) over all edges incident to i, either direction."""
         out = []
@@ -149,15 +143,6 @@ class ValuedQuiver:
         w = list(v)
         w[i] -= k
         return w
-
-    def reflect_general(self, root, v):
-        """Reflection in an arbitrary real root."""
-        q = self.tits_form(root)
-        num = self.symmetrized_form(v, root)
-        if num % q:
-            raise ValueError("reflection is not integral")
-        k = num // q
-        return [a - k * b for a, b in zip(v, root)]
 
     def coxeter_transformation(self, order=None):
         """Matrix of the composite of all simple reflections in an admissible

@@ -53,9 +53,6 @@ class Rep:
     def total_dim(self):
         return sum(self.dims)
 
-    def dimension_vector(self):
-        return list(self.dims)
-
     def path_matrix(self, path):
         """Matrix of a basis path acting V(source) -> V(target)."""
         src, gens = path
@@ -414,17 +411,13 @@ def _subrep(V, bases):
     ]
     for gid, g in enumerate(A.gens):
         s, t = g.src, g.tgt
-        m = Mat.zero(dims[t], dims[s], V.p)
         if dims[s] and V.dims[t]:
-            imgs = V.mats[gid] * bmats[s].transpose()  # columns = images
-            BT = bmats[t].transpose()
-            for c in range(dims[s]):
-                col = [imgs[r, c] for r in range(imgs.rows)]
-                x = solve(BT, col)
-                if x is None:
-                    raise ValueError("subspaces are not generator-stable")
-                for r, val in enumerate(x):
-                    m.data[r * m.cols + c] = val
+            # the images of the source basis, in coordinates of the target basis
+            m = solve(bmats[t].transpose(), V.mats[gid] * bmats[s].transpose())
+            if m is None:
+                raise ValueError("subspaces are not generator-stable")
+        else:
+            m = Mat.zero(dims[t], dims[s], V.p)
         mats[gid] = m
     return Rep(A, dims, mats, V.p)
 
@@ -554,15 +547,19 @@ def _transpose_module(algebra, opposite, pres, p):
     # image generators: for each copy s of P0 and each basis path x ending at
     # b_s, the column of products (psi[r][s] * x)_r
     img = [[] for _ in range(opposite.n)]
-    for s, b in enumerate(pres.proj0):
-        for v in range(algebra.n):
+    for v in range(algebra.n):
+        # offset and path index of each summand's block at vertex v
+        blocks = []
+        pos = 0
+        for a in pres.proj1:
+            paths_va = algebra.corner_basis(v, a)
+            blocks.append((pos, {q: k for k, q in enumerate(paths_va)}))
+            pos += len(paths_va)
+        for s, b in enumerate(pres.proj0):
             for x in algebra.corner_basis(v, b):
                 vec = [0] * amb.dims[v]
-                pos = 0
-                for r, a in enumerate(pres.proj1):
+                for r, (pos, idx) in enumerate(blocks):
                     entry = pres.psi[r][s]
-                    paths_va = algebra.corner_basis(v, a)
-                    idx = {q: k for k, q in enumerate(paths_va)}
                     if entry:
                         prod = algebra.multiply(
                             {pp: Fraction(c) for pp, c in entry.items()},
@@ -570,7 +567,6 @@ def _transpose_module(algebra, opposite, pres, p):
                         )
                         for q, c in prod.items():
                             vec[pos + idx[q]] += c
-                    pos += len(paths_va)
                 img[v].append(vec)
     bases = []
     for v in range(opposite.n):
@@ -697,15 +693,11 @@ def _split_along(W, f):
         power = [1]
         for _ in range(e):
             power = poly_mul(power, g, p)
-        bases = [_ker_rows(poly_eval_mat(power, f[i])) for i in range(W.algebra.n)]
+        bases = [kernel_basis(poly_eval_mat(power, f[i])) for i in range(W.algebra.n)]
         parts.append(_subrep(W, bases))
     if sum(x.total_dim() for x in parts) != W.total_dim():
         return None
     return parts
-
-
-def _ker_rows(m):
-    return [list(v) for v in kernel_basis(m)]
 
 
 # ---------------------------------------------------------------------------

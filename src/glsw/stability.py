@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from glsw.algebra import gls_presentation
-from glsw.exact import Mat, rref
+from glsw.exact import Echelon, Mat, rref
 from glsw import reps as R
 from glsw.decomposition import rigid_of_rank
 
@@ -68,57 +68,32 @@ class SubmoduleLattice:
         return len(self.members)
 
 
-def _canon(bases, dims, p):
-    out = []
-    for i, rows in enumerate(bases):
-        if not rows:
-            out.append(())
-            continue
-        red, pivots = rref(Mat.from_rows([list(r) for r in rows], p))
-        out.append(tuple(tuple(red.row(k)) for k in range(len(pivots))))
-    return tuple(out)
-
-
 def _spin(V, element):
-    """Smallest subrepresentation containing the given module element."""
+    """Smallest subrepresentation containing the given module element, as
+    per-vertex reduced row echelon bases."""
     A = V.algebra
-    p = V.p
-    ech = [dict() for _ in range(A.n)]  # pivot -> reduced row
-
-    def insert(i, vec):
-        vec = list(vec)
-        for piv, row in ech[i].items():
-            c = vec[piv]
-            if c:
-                vec = [(a - c * b) % p for a, b in zip(vec, row)]
-        piv = next((k for k, x in enumerate(vec) if x), None)
-        if piv is None:
-            return False
-        inv = pow(vec[piv], -1, p)
-        ech[i][piv] = [x * inv % p for x in vec]
-        return True
-
-    queue = []
-    for i in range(A.n):
-        vec = element[i]
-        if any(vec) and insert(i, vec):
-            queue.append((i, list(vec)))
+    spans = [Echelon(V.p) for _ in range(A.n)]
+    queue = [(i, vec) for i, vec in enumerate(element) if spans[i].insert(vec)]
     while queue:
         i, vec = queue.pop()
         for gid, g in enumerate(A.gens):
             if g.src != i:
                 continue
             img = V.mats[gid].matvec(vec)
-            if any(img) and insert(g.tgt, img):
+            if spans[g.tgt].insert(img):
                 queue.append((g.tgt, img))
-    return _canon(
-        [list(ech[i].values()) for i in range(A.n)], V.dims, p
-    )
+    return tuple(tuple(map(tuple, E.basis(d))) for E, d in zip(spans, V.dims))
 
 
 def _join(V, a, b):
-    rows = [list(x) + list(y) for x, y in zip(a, b)]
-    return _canon(rows, V.dims, V.p)
+    """The sum of two members, as per-vertex reduced row echelon bases."""
+    out = []
+    for x, y in zip(a, b):
+        if x or y:
+            red, pivots = rref(Mat.from_rows(x + y, V.p))
+            x = tuple(tuple(red.row(k)) for k in range(len(pivots)))
+        out.append(x)
+    return tuple(out)
 
 
 def submodules(V, config=None):

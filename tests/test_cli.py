@@ -51,6 +51,31 @@ def test_removed_primes_flag_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("catalog", "BC1", "--caps", "dim=3"),
+        ("catalog", "BC1", "--seed", "1"),
+        ("decompose", "BC1", "-v", "2,4", "--caps", "dim=3"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+
+
+def test_verify_passes_only_the_caps_given(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        cli.suites, "run_suite", lambda name, config: seen.append(config) or {"passed": True}
+    )
+    assert run(capsys, "verify", "stability", "--seed", "4", "--caps", "enum=9")[0] == 0
+    assert run(capsys, "verify", "stability", "--seed", "4")[0] == 0
+    # caps not given fall back to suites.DEFAULT_CONFIG
+    assert seen == [{"seed": 4, "enum_cap": 9}, {"seed": 4}]
+
+
 def test_decompose_oracle(capsys):
     code, out = run(capsys, "decompose", "BC1", "-v", "2,4", "--seed", "5")
     assert code == 0

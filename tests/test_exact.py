@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glsw import fpkernel
 from glsw.exact import (
     BOX,
+    Echelon,
     Mat,
     _field,
     factor_primefield,
@@ -58,19 +60,32 @@ def test_rref_deterministic_pivots():
 
 def test_solve_consistent():
     m = Mat.from_rows([[1, 2], [3, 4]])
-    x = solve(m, [5, 11])
-    assert m.matvec(x) == [Fraction(5), Fraction(11)]
+    x = solve(m, Mat.from_rows([[5], [11]]))
+    assert m.matvec(x.data) == [Fraction(5), Fraction(11)]
 
 
 def test_solve_inconsistent():
     m = Mat.from_rows([[1, 2], [2, 4]])
-    assert solve(m, [1, 3]) is None
+    assert solve(m, Mat.from_rows([[1], [3]])) is None
 
 
 def test_solve_mod_p():
     m = Mat.from_rows([[2, 1], [1, 1]], p=7)
-    x = solve(m, [1, 0])
-    assert m.matvec(x) == [1, 0]
+    x = solve(m, Mat.from_rows([[1], [0]], p=7))
+    assert m.matvec(x.data) == [1, 0]
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_solve_all_right_hand_sides_at_once(p):
+    # rank 2: the third row is the sum of the first two
+    m = Mat.from_rows([[1, 2, 0], [0, 1, 3], [1, 3, 3]], p)
+    b = m * Mat.from_rows([[1, 0, 2, 0], [0, 1, 1, 0], [4, 0, 0, 0]], p)
+    x = solve(m, b)
+    assert (x.rows, x.cols) == (3, 4)
+    assert m * x == b
+    # one column off the column space makes the whole system inconsistent
+    bad = b.hstack(Mat.from_rows([[0], [0], [1]], p))
+    assert solve(m, bad) is None
 
 
 def test_kernel_basis_normalized():
@@ -195,9 +210,10 @@ def test_scale_maps_fractions_into_fp():
 
 
 def test_solve_maps_fractions_into_fp():
-    assert solve(Mat.identity(1, p=5), [Fraction(1, 2)]) == [3]
+    one = Mat.identity(1, p=5)
+    assert solve(one, Mat.from_rows([[Fraction(1, 2)]], p=5)).data == [3]
     with pytest.raises(ZeroDivisionError):
-        solve(Mat.identity(1, p=5), [Fraction(1, 10)])
+        solve(one, Mat.from_rows([[Fraction(1, 10)]], p=5))
 
 
 def test_field_elements_coercion_and_draws():
@@ -224,6 +240,41 @@ def test_field_elements_coercion_and_draws():
 
 
 sq = st.integers(-9, 9)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_echelon_is_the_reduced_basis_in_any_insertion_order(data):
+    p = data.draw(st.sampled_from([2, 3, 101, None]))
+    F = _field(p)
+    ncols = data.draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, 5, -7])
+    rows = data.draw(
+        st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8)
+    )
+    # dependent rows: sums of drawn rows
+    rows += [[a + b for a, b in zip(r, s)] for r, s in zip(rows, rows[1:3])]
+    bases = []
+    for order in (rows, data.draw(st.permutations(rows))):
+        E = Echelon(p)
+        for r in order:
+            E.insert(r)
+        assert all(E.reduce(r) == {} for r in rows)
+        assert not any(E.insert(r) for r in rows)
+        for c, row in E.rows.items():
+            assert min(row) == c and row[c] == 1
+            assert not any(d in row for d in E.rows if d != c)
+        bases.append(E.basis(ncols))
+    assert bases[0] == bases[1]
+    # spans agree: the kernel of the rows is the kernel of the basis
+    sparse = [dict(enumerate(r)) for r in rows]
+    assert sparse_kernel_basis(sparse, ncols, p) == sparse_kernel_basis(
+        [dict(enumerate(r)) for r in bases[0]], ncols, p
+    )
+    if p is not None:
+        a = [F.coerce(x) for r in rows for x in r]
+        pivots = fpkernel.rref(a, len(rows), ncols, p)
+        assert bases[0] == [a[i * ncols : (i + 1) * ncols] for i in range(len(pivots))]
 
 
 @given(st.lists(st.lists(sq, min_size=3, max_size=3), min_size=2, max_size=4))
