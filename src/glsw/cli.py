@@ -181,7 +181,7 @@ def cmd_verify(args):
             ", ".join(sorted(suites.SUITES)),
         )
         return 2
-    # caps not given keep the defaults of suites.DEFAULT_CONFIG
+    # caps not given keep the defaults of stability.DEFAULT_CONFIG
     config = {f"{key}_cap": value for key, value in args.caps.items()}
     config["seed"] = _resolve_seed(args)
     report = suites.run_suite(args.suite, config)

@@ -63,11 +63,14 @@ def kac_decomposition_unfolded(cover, d, seed=0, p=GENERIC_PRIME, algebra=None):
         if profile != profile2:
             last_error = f"profiles disagree between seeds {s0} and {s0 + 1}"
             continue
-        ok = True
-        for i in range(len(parts)):
-            for j in range(len(parts)):
-                if i != j and R.ext1_dim(parts[i], parts[j]) != 0:
-                    ok = False
+        # one presentation per summand serves every ordered pair
+        pres = [R.minimal_presentation(part) for part in parts]
+        ok = all(
+            P.ext1_dim(W) == 0
+            for i, P in enumerate(pres)
+            for j, W in enumerate(parts)
+            if i != j
+        )
         if ok:
             return {
                 "summands": [(list(t), k) for t, k in profile],

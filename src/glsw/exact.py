@@ -12,8 +12,9 @@ instead of truncating.
 
 There are two eliminations.  ``Echelon`` keeps the reduced row echelon basis
 of a growing span of sparse ``{column: entry}`` rows over either field; the
-rational ``rref`` and ``rank``, Krylov spaces, submodule spins and the ideal
-of relations of a bound quiver algebra all grow one.  Dense matrices over
+rational ``rref`` and ``rank``, Krylov spaces, submodule spins, the ideal of
+relations of a bound quiver algebra, and the radicals, presentation kernels
+and quotients of representations all grow one.  Dense matrices over
 F_p go to the fixed ``fpkernel``.  ``sparse_kernel_basis`` stays a batch
 elimination, because choosing the sparsest pivot row needs all rows at once.
 

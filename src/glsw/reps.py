@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 from glsw.exact import (
+    Echelon,
     Mat,
     _field,
     factor_primefield,
@@ -23,7 +24,7 @@ from glsw.exact import (
     poly_lcm,
     poly_mul,
     rank,
-    rref,
+    rref,  # unused; perfbench/tests checks that the tracer rebinds reps.rref
     solve,
     sparse_kernel_basis,
 )
@@ -90,20 +91,23 @@ def same_algebra(A, B):
     return sig(A) == sig(B)
 
 
-def direct_sum(V, W):
-    if not same_algebra(V.algebra, W.algebra) or V.p != W.p:
+def direct_sum(V, *more):
+    """The block-diagonal sum of V and the modules in ``more``."""
+    parts = (V, *more)
+    if any(not same_algebra(V.algebra, W.algebra) or V.p != W.p for W in more):
         raise ValueError("summands live over different algebras or fields")
-    dims = [a + b for a, b in zip(V.dims, W.dims)]
+    dims = [sum(d) for d in zip(*(X.dims for X in parts))]
     mats = {}
     for gid, g in enumerate(V.algebra.gens):
-        a, b = V.mats[gid], W.mats[gid]
         m = Mat.zero(dims[g.tgt], dims[g.src], V.p)
-        for i in range(a.rows):
-            for j in range(a.cols):
-                m.data[i * m.cols + j] = a[i, j]
-        for i in range(b.rows):
-            for j in range(b.cols):
-                m.data[(a.rows + i) * m.cols + (a.cols + j)] = b[i, j]
+        r0 = c0 = 0
+        for X in parts:
+            a = X.mats[gid]
+            for i in range(a.rows):
+                start = (r0 + i) * m.cols + c0
+                m.data[start : start + a.cols] = a.row(i)
+            r0 += a.rows
+            c0 += a.cols
         mats[gid] = m
     return Rep(V.algebra, dims, mats, V.p)
 
@@ -219,7 +223,7 @@ def simple(algebra, i, p=None):
 
 
 def hom_basis(V, W):
-    """Basis of intertwiners V -> W, canonicalized by kernel_basis."""
+    """Basis of intertwiners V -> W, canonicalized by sparse_kernel_basis."""
     if not same_algebra(V.algebra, W.algebra) or V.p != W.p:
         raise ValueError("mismatched algebras or fields")
     A = V.algebra
@@ -270,11 +274,10 @@ def end_dim(V):
 class Presentation:
     """Minimal projective presentation P1 -> P0 -> V -> 0."""
 
-    def __init__(self, proj0, proj1, psi, cover):
+    def __init__(self, proj0, proj1, psi):
         self.proj0 = proj0  # list of vertices (with multiplicity)
         self.proj1 = proj1
         self.psi = psi  # psi[r][s] in e_{proj1[r]} H e_{proj0[s]}
-        self.cover = cover  # per-vertex matrices P0(v) -> V(v)
 
     def g_vector(self, n):
         g = [0] * n
@@ -284,47 +287,39 @@ class Presentation:
             g[a] -= 1
         return g
 
-
-def _radical_basis(V):
-    """Per-vertex basis (as column lists) of rad V = sum of generator images."""
-    A = V.algebra
-    out = []
-    for i in range(A.n):
-        cols = []
-        for gid, g in enumerate(A.gens):
-            if g.tgt != i:
-                continue
-            m = V.mats[gid]
-            for c in range(m.cols):
-                cols.append([m[r, c] for r in range(m.rows)])
-        if not cols:
-            out.append([])
-            continue
-        M = Mat.from_rows(cols, V.p)  # rows are the columns of the images
-        R, pivots = rref(M)
-        out.append([R.row(k) for k in range(len(pivots))])
-    return out
-
-
-def _complement_indices(basis_rows, dim, p):
-    """Indices of coordinate vectors completing the row-span to full space."""
-    if not basis_rows:
-        return list(range(dim))
-    M = Mat.from_rows(basis_rows, p)
-    _, pivots = rref(M)
-    pivset = set(pivots)
-    return [j for j in range(dim) if j not in pivset]
+    def ext1_dim(self, W):
+        """Dimension of the cokernel of Hom(psi, W): Hom(P0, W) -> Hom(P1, W)
+        for the presented V, which is dim Ext^1(V, W) when V has projective
+        dimension at most 1 (as locally free modules do)."""
+        if not self.proj1:
+            return 0
+        blocks = []
+        for r, a in enumerate(self.proj1):
+            row = []
+            for s, b in enumerate(self.proj0):
+                entry = self.psi[r][s]
+                if entry:
+                    row.append(W.element_matrix(entry))
+                else:
+                    row.append(Mat.zero(W.dims[a], W.dims[b], W.p))
+            blocks.append(row)
+        M = _block_matrix(blocks, W.p)
+        return sum(W.dims[a] for a in self.proj1) - rank(M)
 
 
 def _top_generators(V):
-    """(vertex, vector) pairs projecting to a basis of V / rad V."""
-    rad = _radical_basis(V)
+    """(vertex, index) pairs whose coordinate vectors project to a basis of
+    V / rad V: the indices outside the pivots of rad V, the span of the
+    generator images."""
+    A = V.algebra
     gens = []
-    for i in range(V.algebra.n):
-        for j in _complement_indices(rad[i], V.dims[i], V.p):
-            e = [0] * V.dims[i]
-            e[j] = _field(V.p).one
-            gens.append((i, e))
+    for i in range(A.n):
+        rad = Echelon(V.p)
+        for gid, g in enumerate(A.gens):
+            if g.tgt == i:
+                for col in V.mats[gid].transpose().rowlist():
+                    rad.insert(col)
+        gens.extend((i, j) for j in range(V.dims[i]) if j not in rad.rows)
     return gens
 
 
@@ -333,71 +328,73 @@ def minimal_presentation(V):
     coerce = _field(V.p).coerce
     top = _top_generators(V)
     proj0 = [i for i, _ in top]
-    # cover map P0 -> V: basis path q of the s-th copy P_{b_s} maps to rho(q)*v_s
     cover = _cover_matrices(V, top)
-    kernel = _kernel_subrep_generators(V, top, cover)
-    proj1 = [a for a, _ in kernel["top"]]
+    proj1 = []
     psi = []
-    for a, vec in kernel["top"]:
+    for a, vec in _kernel_top(V, proj0, cover):
         # vec lives in P0(a) = direct sum of e_a H e_{b_s}; split into entries
         row = []
         pos = 0
-        for s, b in enumerate(proj0):
-            paths = A.corner_basis(b, a)
+        for b in proj0:
             entry = {}
-            for q in paths:
+            for q in A.corner_basis(b, a):
                 c = vec[pos]
                 pos += 1
                 if c:
                     entry[q] = coerce(c)
             row.append(entry)
+        proj1.append(a)
         psi.append(row)
-    return Presentation(proj0, proj1, psi, cover)
+    return Presentation(proj0, proj1, psi)
 
 
 def _cover_matrices(V, top):
+    """Per-vertex matrices of the cover map P0 -> V: basis path q of the copy
+    of P_b for the top generator (b, j) maps to column j of V(q)."""
     A = V.algebra
     cover = []
     for v in range(A.n):
+        paths = {}  # V(q), shared by the top generators at one vertex
         cols = []
-        for s, (b, vec) in enumerate(top):
+        for b, j in top:
             for q in A.corner_basis(b, v):
-                m = V.path_matrix(q)
-                cols.append(m.matvec(vec))
-        M = Mat.zero(V.dims[v], len(cols), V.p)
-        for c, col in enumerate(cols):
-            for r, x in enumerate(col):
-                M.data[r * M.cols + c] = x
-        cover.append(M)
+                if q not in paths:
+                    paths[q] = V.path_matrix(q)
+                m = paths[q]
+                cols.append(m.data[j :: m.cols])
+        flat = [x for col in cols for x in col]
+        cover.append(Mat(len(cols), V.dims[v], flat, V.p).transpose())
     return cover
 
 
-def _kernel_subrep_generators(V, top, cover):
-    """Generators of ker(P0 -> V) as a representation (its top)."""
+def _kernel_top(V, proj0, cover):
+    """(vertex, vector in P0 coordinates) pairs projecting to a basis of
+    K / rad K for K = ker(P0 -> V).
+
+    rad K(v) is spanned by the images P0(g)k of the kernel vectors k at the
+    source of each generator g ending at v.  Inserting the kernel basis from
+    its last vector back keeps exactly the vectors whose index lies outside
+    the pivots of rad K in kernel coordinates."""
     A = V.algebra
-    P0 = _proj_sum(A, [b for b, _ in top], V.p)
-    kbasis = []
-    for v in range(A.n):
-        kbasis.append(kernel_basis(cover[v]))
-    K = _subrep(P0, kbasis)
-    ktop = _top_generators(K)
-    # express the kernel-top generators back in P0 coordinates
+    projs = {b: projective(A, b, V.p) for b in set(proj0)}
+    kbasis = [kernel_basis(M) for M in cover]
     out = []
-    for v, vec in ktop:
-        basis = kbasis[v]
-        amb = [0] * P0.dims[v]
-        for coef, bvec in zip(vec, basis):
-            for k, x in enumerate(bvec):
-                amb[k] += coef * x
-        out.append((v, _field(V.p).reduce(amb)))
-    return {"top": out, "sub": K}
-
-
-def _proj_sum(algebra, vertices, p):
-    total = zero_rep(algebra, p)
-    for b in vertices:
-        total = direct_sum(total, projective(algebra, b, p))
-    return total
+    for v in range(A.n):
+        span = Echelon(V.p)
+        for gid, g in enumerate(A.gens):
+            if g.tgt != v:
+                continue
+            blocks = [projs[b].mats[gid] for b in proj0]
+            for k in kbasis[g.src]:
+                img = []
+                pos = 0
+                for m in blocks:
+                    img += m.matvec(k[pos : pos + m.cols])
+                    pos += m.cols
+                span.insert(img)
+        kept = [k for k in reversed(kbasis[v]) if span.insert(k)]
+        out.extend((v, k) for k in reversed(kept))
+    return out
 
 
 def _subrep(V, bases):
@@ -422,28 +419,25 @@ def _subrep(V, bases):
     return Rep(A, dims, mats, V.p)
 
 
-def _quotient_rep(V, bases):
-    """Quotient of V by the generator-stable subspaces spanned by ``bases``."""
+def _quotient_rep(V, spans):
+    """Quotient of V by the generator-stable subspaces held by the
+    ``Echelon``s ``spans``, in the coordinates outside their pivots."""
     A = V.algebra
     F = _field(V.p)
     proj = []  # per-vertex projection matrices (complement coordinates)
-    frees = []  # per-vertex positions outside the pivots of the basis
+    frees = []  # per-vertex positions outside the pivots of the span
     for i in range(A.n):
-        if bases[i]:
-            M = Mat.from_rows(bases[i], V.p)
-            R, pivots = rref(M)
-            free = [j for j in range(V.dims[i]) if j not in set(pivots)]
-            # x -> coordinates on free positions after subtracting pivot parts
-            P = Mat.zero(len(free), V.dims[i], V.p)
-            for r, j in enumerate(free):
-                P.data[r * P.cols + j] = F.one
-                for k, piv in enumerate(pivots):
-                    val = R[k, j]
-                    if val:
-                        P.data[r * P.cols + piv] = F.coerce(-val)
-        else:
-            P = Mat.identity(V.dims[i], V.p)
-            free = list(range(V.dims[i]))
+        rows = spans[i].rows
+        free = [j for j in range(V.dims[i]) if j not in rows]
+        at = {j: r for r, j in enumerate(free)}
+        # x -> coordinates on free positions after subtracting pivot parts
+        P = Mat.zero(len(free), V.dims[i], V.p)
+        for r, j in enumerate(free):
+            P.data[r * P.cols + j] = F.one
+        for piv, row in rows.items():
+            for j, val in row.items():
+                if j != piv:
+                    P.data[at[j] * P.cols + piv] = F.coerce(-val)
         proj.append(P)
         frees.append(free)
     dims = [len(free) for free in frees]
@@ -465,9 +459,12 @@ def g_vector(V):
 def ext1_dim(V, W, method="presentation"):
     """dim Ext^1(V, W).
 
-    The presentation method is always available; the Euler method uses the
-    bilinear form of the underlying valued quiver and requires both arguments
-    locally free over a modulated algebra built from that quiver.
+    The presentation method is always available and exact when V has
+    projective dimension at most 1, as every locally free module does;
+    otherwise it returns dim Hom(W, tau V), which can be larger.  The Euler
+    method uses the bilinear form of the underlying valued quiver and
+    requires both arguments locally free over a modulated algebra built from
+    that quiver.
     """
     if method == "euler":
         quiver = getattr(V.algebra, "quiver", None)
@@ -478,21 +475,7 @@ def ext1_dim(V, W, method="presentation"):
         if not (okv and okw):
             raise ValueError("euler shortcut needs locally free arguments")
         return hom_dim(V, W) - quiver.ringel_form(rv, rw)
-    pres = minimal_presentation(V)
-    if not pres.proj1:
-        return 0
-    blocks = []
-    for r, a in enumerate(pres.proj1):
-        row = []
-        for s, b in enumerate(pres.proj0):
-            entry = pres.psi[r][s]
-            if entry:
-                row.append(W.element_matrix(entry))
-            else:
-                row.append(Mat.zero(W.dims[a], W.dims[b], W.p))
-        blocks.append(row)
-    M = _block_matrix(blocks, W.p)
-    return sum(W.dims[a] for a in pres.proj1) - rank(M)
+    return minimal_presentation(V).ext1_dim(W)
 
 
 def _block_matrix(blocks, p):
@@ -541,12 +524,10 @@ def _transpose_module(algebra, opposite, pres, p):
     parts = [
         _right_projective_rep(algebra, opposite, a, p) for a in pres.proj1
     ]
-    amb = zero_rep(opposite, p)
-    for part in parts:
-        amb = direct_sum(amb, part)
+    amb = direct_sum(zero_rep(opposite, p), *parts)
     # image generators: for each copy s of P0 and each basis path x ending at
     # b_s, the column of products (psi[r][s] * x)_r
-    img = [[] for _ in range(opposite.n)]
+    spans = [Echelon(p) for _ in range(opposite.n)]
     for v in range(algebra.n):
         # offset and path index of each summand's block at vertex v
         blocks = []
@@ -567,16 +548,8 @@ def _transpose_module(algebra, opposite, pres, p):
                         )
                         for q, c in prod.items():
                             vec[pos + idx[q]] += c
-                img[v].append(vec)
-    bases = []
-    for v in range(opposite.n):
-        if img[v] and any(any(row) for row in img[v]):
-            M = Mat.from_rows(img[v], p)
-            R, pivots = rref(M)
-            bases.append([R.row(k) for k in range(len(pivots))])
-        else:
-            bases.append([])
-    return _quotient_rep(amb, bases)
+                spans[v].insert(vec)
+    return _quotient_rep(amb, spans)
 
 
 def ar_translate(V):

@@ -166,6 +166,12 @@ def _reduce_rep(V, p):
 def _check_one_field(V, theta, cfg, strict):
     if theta.value(V.dims) != 0:
         return {"verdict": False, "reason": "weight of the module is nonzero"}
+    total = V.total_dim()
+    if total > cfg["dim_cap"]:
+        return {
+            "verdict": "unknown (cap)",
+            "reason": f"total dimension {total} exceeds cap {cfg['dim_cap']}",
+        }
     lattice = submodules(V, cfg)
     if not lattice.complete:
         return {"verdict": "unknown (cap)", "reason": "lattice incomplete"}

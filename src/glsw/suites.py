@@ -16,11 +16,8 @@ from glsw.algebra import gls_presentation, unfold, unfold_class
 from glsw.quivers import catalog_affine
 from glsw import decomposition as D, families as F, reps as R, stability as S
 
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "dim_cap": 8,
-    "enum_cap": 1_000_000,
-}
+# the submodule search caps default in stability.DEFAULT_CONFIG
+DEFAULT_CONFIG = {"seed": 0}
 
 # representative members of every catalog family, all of rank <= 8
 CATALOG_REPRESENTATIVES = (
@@ -196,10 +193,7 @@ def _dimension_count_rows(d2_max=6):
             parts = [F.bc1_Vbar()] * s + [F.bc1_V(k + 1, 1) for k in range(r)]
             if not parts:
                 continue
-            M = parts[0]
-            for part in parts[1:]:
-                M = R.direct_sum(M, part)
-            end = R.end_dim(M)
+            end = R.end_dim(R.direct_sum(*parts))
             d1 = 2 * d2
             dim_gl = d1 * d1 + d2 * d2
             dim_orbit = dim_gl - end
@@ -223,22 +217,22 @@ def suite_stability(config=None):
     q = catalog_affine("BC1")
     theta = S.defect_weight(q)
     checks = []
+    # every module checked is over F_p already, so only the caps in cfg are read
     for p in primes:
-        scfg = {"primes": (p,), "dim_cap": cfg["dim_cap"], "enum_cap": cfg["enum_cap"]}
         _check(
             checks,
             f"boundary-stable:p{p}",
-            S.is_stable(F.bc1_Vbar(p), theta, scfg)["verdict"] is True,
+            S.is_stable(F.bc1_Vbar(p), theta, cfg)["verdict"] is True,
         )
         for lam in (1, 2):
             _check(
                 checks,
                 f"member-{lam}-stable:p{p}",
-                S.is_stable(F.bc1_V(lam, 1, p), theta, scfg)["verdict"] is True,
+                S.is_stable(F.bc1_V(lam, 1, p), theta, cfg)["verdict"] is True,
             )
         Vinf = F.bc1_V(1, 0, p)
-        semi = S.is_semistable(Vinf, theta, scfg)
-        strict = S.is_stable(Vinf, theta, scfg)
+        semi = S.is_semistable(Vinf, theta, cfg)
+        strict = S.is_stable(Vinf, theta, cfg)
         witness = strict.get("witness", {})
         _check(
             checks,
@@ -252,7 +246,7 @@ def suite_stability(config=None):
         _check(
             checks,
             f"projective-not-semistable:p{p}",
-            S.is_semistable(R.projective(F.bc1_algebra(), 0, p), theta, scfg)["verdict"]
+            S.is_semistable(R.projective(F.bc1_algebra(), 0, p), theta, cfg)["verdict"]
             is False,
         )
     return _report("stability", cfg, checks)

@@ -72,8 +72,19 @@ def test_verify_passes_only_the_caps_given(capsys, monkeypatch):
     )
     assert run(capsys, "verify", "stability", "--seed", "4", "--caps", "enum=9")[0] == 0
     assert run(capsys, "verify", "stability", "--seed", "4")[0] == 0
-    # caps not given fall back to suites.DEFAULT_CONFIG
+    # caps not given fall back to stability.DEFAULT_CONFIG
     assert seen == [{"seed": 4, "enum_cap": 9}, {"seed": 4}]
+
+
+def test_verify_stability_under_a_small_dimension_cap_reports(capsys):
+    code, out = run(capsys, "verify", "stability", "--caps", "dim=3")
+    assert code == 1
+    report = json.loads(out)
+    assert report["suite"] == "stability" and not report["passed"]
+    # the six-dimensional members are beyond the cap; the boundary module is not
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert "member-1-stable:p3" in failed
+    assert "boundary-stable:p3" not in failed
 
 
 def test_decompose_oracle(capsys):

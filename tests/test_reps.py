@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from glsw.algebra import BoundQuiverAlgebra, Gen, gls_presentation
-from glsw.exact import Mat
+from glsw.algebra import BoundQuiverAlgebra, Gen, gls_presentation, unfold
+from glsw.exact import Echelon, Mat, kernel_basis, rank
 from glsw.quivers import catalog_affine
 from glsw import reps as R
 
@@ -201,6 +201,86 @@ def test_presentation_g_additive_on_sums():
     assert gs == [a + b for a, b in zip(R.g_vector(V), R.g_vector(W))]
 
 
+def _presented_modules(p):
+    """BC1 projectives, injectives and tau^- of projectives, a C2 locally free
+    module and a module over the cover of BC1."""
+    A = algebra("BC1")
+    cover, _ = unfold(catalog_affine("BC1"))
+    mods = [R.projective(A, i, p) for i in range(A.n)]
+    mods += [R.injective(A, i, p) for i in range(A.n)]
+    mods += [R.ar_inverse(R.projective(A, i, p)) for i in range(A.n)]
+    mods.append(R.random_locally_free(algebra("C", 2), [1, 2, 1], seed=3, p=p))
+    mods.append(
+        R.random_locally_free(gls_presentation(cover), cover.null_root(), seed=5, p=p)
+    )
+    return mods
+
+
+def _span_rank(P, vectors_at):
+    """Per-vertex rank of the images P(g) x of the vectors x at the source of
+    each generator g; for the basis of a submodule, the dimension of its
+    radical."""
+    out = []
+    for v in range(P.algebra.n):
+        cols = []
+        for gid, g in enumerate(P.algebra.gens):
+            if g.tgt == v and vectors_at[g.src]:
+                X = Mat.from_rows(vectors_at[g.src], P.p).transpose()
+                cols += (P.mats[gid] * X).transpose().rowlist()
+        out.append(rank(Mat.from_rows(cols, P.p)) if cols else 0)
+    return out
+
+
+def _generated_dims(P, gens):
+    """Per-vertex dimensions of the submodule of P generated by the
+    (vertex, vector) pairs ``gens``."""
+    spans = [Echelon(P.p) for _ in P.dims]
+    queue = [(v, vec) for v, vec in gens if spans[v].insert(vec)]
+    while queue:
+        v, vec = queue.pop()
+        for gid, g in enumerate(P.algebra.gens):
+            if g.src == v:
+                img = P.mats[gid].matvec(vec)
+                if spans[g.tgt].insert(img):
+                    queue.append((g.tgt, img))
+    return [len(E.rows) for E in spans]
+
+
+@pytest.mark.parametrize("p", [None, 101])
+def test_minimal_presentation_is_minimal(p):
+    for V in _presented_modules(p):
+        A = V.algebra
+        pres = R.minimal_presentation(V)
+        top = R._top_generators(V)
+        assert pres.proj0 == [b for b, _ in top]
+        units = [[[int(i == j) for j in range(d)] for i in range(d)] for d in V.dims]
+        rad_V = _span_rank(V, units)
+        assert [pres.proj0.count(v) for v in range(A.n)] == [
+            d - r for d, r in zip(V.dims, rad_V)
+        ]
+        cover = R._cover_matrices(V, top)
+        # the cover map P0 -> V is onto at every vertex
+        assert [rank(M) for M in cover] == V.dims
+        P0 = R.direct_sum(R.zero_rep(A, p), *(R.projective(A, b, p) for b in pres.proj0))
+        kernel = [kernel_basis(M) for M in cover]
+        gens = []
+        for a, row in zip(pres.proj1, pres.psi):
+            vec = [
+                entry.get(q, 0)
+                for b, entry in zip(pres.proj0, row)
+                for q in A.corner_basis(b, a)
+            ]
+            # each P1 generator lies in K = ker(P0 -> V)
+            assert not any(cover[a].matvec(vec))
+            gens.append((a, vec))
+        # the generators span K as a submodule of P0 ...
+        assert _generated_dims(P0, gens) == [len(k) for k in kernel]
+        # ... and at each vertex there are dim K/rad K of them, so none is redundant
+        top_K = [len(k) - r for k, r in zip(kernel, _span_rank(P0, kernel))]
+        assert [pres.proj1.count(v) for v in range(A.n)] == top_K
+        assert len(pres.proj1) == sum(top_K)
+
+
 def test_g_vector_pairing_identity():
     """<g(V), dims U> = dim Hom(V, U) - dim Hom(U, tau V)."""
     rng = random.Random(3)
@@ -349,6 +429,18 @@ def _inverse(m, p):
 def test_non_isomorphic_same_dimensions():
     verdict, why = R.is_isomorphic(family_module(2, 1), family_module(3, 1))
     assert verdict is False
+
+
+def test_direct_sum_of_three_is_the_iterated_sum():
+    A = algebra("BC1")
+    for p in (None, 7):
+        parts = (family_module(3, 1, p), R.projective(A, 1, p), boundary_module(p))
+        one = R.direct_sum(*parts)
+        two = R.direct_sum(R.direct_sum(parts[0], parts[1]), parts[2])
+        assert one.dims == two.dims == [10, 4]
+        assert one.mats == two.mats
+    with pytest.raises(ValueError):
+        R.direct_sum(family_module(3, 1), boundary_module(), boundary_module(7))
 
 
 def test_krull_schmidt_recovers_summands():

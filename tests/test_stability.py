@@ -54,6 +54,14 @@ def test_dimension_cap_is_enforced():
         S.submodules(V)
 
 
+def test_dimension_cap_reports_unknown():
+    verdict = S.is_stable(
+        F.bc1_V(1, 1, 3), S.defect_weight(catalog_affine("BC1")), {"dim_cap": 3}
+    )
+    assert verdict["verdict"] == "unknown (cap)"
+    assert "exceeds cap 3" in verdict["reason"]
+
+
 def test_enumeration_cap_reports_unknown():
     verdict = S.is_stable(
         F.bc1_Vbar(3), S.defect_weight(catalog_affine("BC1")), {"enum_cap": 3}
