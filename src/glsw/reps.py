@@ -274,10 +274,11 @@ def end_dim(V):
 class Presentation:
     """Minimal projective presentation P1 -> P0 -> V -> 0."""
 
-    def __init__(self, proj0, proj1, psi):
+    def __init__(self, proj0, proj1, psi, injective):
         self.proj0 = proj0  # list of vertices (with multiplicity)
         self.proj1 = proj1
         self.psi = psi  # psi[r][s] in e_{proj1[r]} H e_{proj0[s]}
+        self.injective = injective  # psi is injective: pd V <= 1
 
     def g_vector(self, n):
         g = [0] * n
@@ -288,9 +289,17 @@ class Presentation:
         return g
 
     def ext1_dim(self, W):
-        """Dimension of the cokernel of Hom(psi, W): Hom(P0, W) -> Hom(P1, W)
-        for the presented V, which is dim Ext^1(V, W) when V has projective
-        dimension at most 1 (as locally free modules do)."""
+        """dim Ext^1(V, W) for the presented V, as the dimension of the
+        cokernel of Hom(psi, W): Hom(P0, W) -> Hom(P1, W).
+
+        That cokernel is Ext^1(V, W) only when V has projective dimension at
+        most 1 (as locally free modules do), so ``ValueError`` is raised when
+        psi is not injective."""
+        if not self.injective:
+            raise ValueError(
+                "presented module has projective dimension above 1; "
+                "the cokernel of Hom(psi, W) is not Ext^1"
+            )
         if not self.proj1:
             return 0
         blocks = []
@@ -345,7 +354,10 @@ def minimal_presentation(V):
             row.append(entry)
         proj1.append(a)
         psi.append(row)
-    return Presentation(proj0, proj1, psi)
+    # P1 -> K = ker(P0 -> V) is onto, so psi is injective iff the dims agree
+    size = [sum(len(A.corner_basis(b, v)) for v in range(A.n)) for b in range(A.n)]
+    injective = sum(size[a] for a in proj1) == sum(size[b] for b in proj0) - sum(V.dims)
+    return Presentation(proj0, proj1, psi, injective)
 
 
 def _cover_matrices(V, top):
@@ -459,9 +471,9 @@ def g_vector(V):
 def ext1_dim(V, W, method="presentation"):
     """dim Ext^1(V, W).
 
-    The presentation method is always available and exact when V has
-    projective dimension at most 1, as every locally free module does;
-    otherwise it returns dim Hom(W, tau V), which can be larger.  The Euler
+    The presentation method is exact when V has projective dimension at
+    most 1, as every locally free module does, and raises ``ValueError``
+    otherwise (it would give dim Hom(W, tau V), which can be larger).  The Euler
     method uses the bilinear form of the underlying valued quiver and
     requires both arguments locally free over a modulated algebra built from
     that quiver.

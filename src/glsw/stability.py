@@ -1,6 +1,11 @@
 """King-style (semi)stability with exhaustive submodule search over prime
 fields.
 
+The submodule lattice is built from the spins of vectors supported at a
+single vertex, closed under sums; the ``enum_cap`` of the configuration
+counts those vertex-local spins (and the lattice members), not the vectors
+of the whole module.
+
 A weight is a rational linear functional on dimension vectors.  The defect
 weight of an affine quiver separates the preprojective, regular and
 preinjective parts; a module of defect-weight zero is semistable when no
@@ -97,7 +102,14 @@ def _join(V, a, b):
 
 
 def submodules(V, config=None):
-    """All subrepresentations of a small module over a prime field."""
+    """All subrepresentations of a small module over a prime field.
+
+    Every submodule is the sum of its vertex components, so it is the sum of
+    the cyclic submodules spun from vectors supported at one vertex: the
+    lattice is those single-vertex spins closed under sums.  ``enum_cap``
+    bounds the number of spins, sum_i (p^dim V(i) - 1)/(p - 1), and the
+    number of members; past either bound the lattice is marked incomplete.
+    """
     cfg = dict(DEFAULT_CONFIG, **(config or {}))
     if V.p is None:
         raise ValueError("submodule enumeration needs a prime field")
@@ -107,35 +119,28 @@ def submodules(V, config=None):
         raise ValueError(f"total dimension {total} exceeds cap {cfg['dim_cap']}")
     zero = tuple(() for _ in range(V.algebra.n))
     members = {zero}
-    # projectivized vectors of the total space: first nonzero coordinate 1
     count = 0
     complete = True
-    positions = []
-    for i in range(V.algebra.n):
-        positions.extend((i, k) for k in range(V.dims[i]))
 
     def vectors():
-        for lead in range(total):
-            tail = total - lead - 1
-            for code in range(p**tail):
-                flat = [0] * total
-                flat[lead] = 1
-                c = code
-                for j in range(lead + 1, total):
-                    flat[j] = c % p
-                    c //= p
-                yield flat
+        # projectivized vectors at one vertex: first nonzero coordinate 1
+        for i, d in enumerate(V.dims):
+            for lead in range(d):
+                for code in range(p ** (d - lead - 1)):
+                    vec = [0] * d
+                    vec[lead] = 1
+                    for j in range(lead + 1, d):
+                        vec[j] = code % p
+                        code //= p
+                    element = [[0] * e for e in V.dims]
+                    element[i] = vec
+                    yield element
 
-    for flat in vectors():
+    for element in vectors():
         count += 1
         if count > cfg["enum_cap"]:
             complete = False
             break
-        element = []
-        pos = 0
-        for i in range(V.algebra.n):
-            element.append(flat[pos : pos + V.dims[i]])
-            pos += V.dims[i]
         members.add(_spin(V, element))
     # close under sums
     frontier = list(members)

@@ -76,7 +76,16 @@ def test_infinity_extension_shape():
     Vinf = F.bc1_V(1, 0)
     assert R.hom_dim(Vbar, Vinf) == 1
     assert R.hom_dim(Vinf, Vbar) == 1
-    assert R.ext1_dim(Vbar, Vbar) >= 1
+    assert R.hom_dim(Vbar, R.ar_translate(Vbar)) >= 1
+
+
+def test_ext1_dim_rejects_projective_dimension_above_one():
+    # neither Vbar nor the simple at vertex 0 is locally free over BC1
+    A = F.bc1_algebra()
+    with pytest.raises(ValueError):
+        R.ext1_dim(F.bc1_Vbar(), F.bc1_Vbar())
+    with pytest.raises(ValueError):
+        R.ext1_dim(R.simple(A, 0), R.injective(A, 0))
 
 
 def test_rejects_origin():

@@ -1,7 +1,13 @@
+import functools
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from glsw.algebra import BoundQuiverAlgebra, Gen
 from glsw.exact import Mat, rank
 from glsw.quivers import catalog_affine
 from glsw import families as F, reps as R, stability as S
@@ -152,6 +158,126 @@ def _all_small_reps(p=3):
                 V = R.Rep(A, [2, 1], {0: alpha, 1: eps}, p)
                 if not R.validate(V):
                     yield V
+
+
+def _lattice_from_all_vectors(V):
+    """Reference lattice: the spins of every projectivized vector of the
+    whole module, closed under sums."""
+    p, total = V.p, V.total_dim()
+    members = {tuple(() for _ in V.dims)}
+    for flat in itertools.product(range(p), repeat=total):
+        if next((x for x in flat if x), None) != 1:
+            continue
+        element, pos = [], 0
+        for d in V.dims:
+            element.append(list(flat[pos : pos + d]))
+            pos += d
+        members.add(S._spin(V, element))
+    frontier = list(members)
+    while frontier:
+        new = {S._join(V, a, b) for a in frontier for b in members} - members
+        members |= new
+        frontier = list(new)
+    return sorted(members)
+
+
+def _subspace_count(p, d):
+    """Number of subspaces of F_p^d."""
+    count = 0
+    for k in range(d + 1):
+        num = den = 1
+        for j in range(k):
+            num *= p ** (d - j) - 1
+            den *= p ** (j + 1) - 1
+        count += num // den
+    return count
+
+
+@st.composite
+def path_algebra_modules(draw):
+    """Modules of total dimension at most 6 over a random acyclic quiver
+    without relations, so that every choice of matrices is a module."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    gens = []
+    # arrows run forward along a random vertex order, so the quiver is acyclic
+    for s, t in itertools.combinations(draw(st.permutations(range(n))), 2):
+        for _ in range(draw(st.integers(0, 2))):
+            gens.append(Gen(f"a{len(gens)}", s, t, False, None, len(gens)))
+    A = BoundQuiverAlgebra(n, gens, [])
+    # the sum closure is quadratic in the lattice size, which is at most the
+    # product of the per-vertex subspace counts
+    dims = draw(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(
+            lambda d: sum(d) <= 6
+            and math.prod(_subspace_count(p, x) for x in d) <= 100
+        )
+    )
+    mats = {}
+    for gid, g in enumerate(gens):
+        size = dims[g.tgt] * dims[g.src]
+        data = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+        mats[gid] = Mat(dims[g.tgt], dims[g.src], data, p)
+    return R.Rep(A, dims, mats, p)
+
+
+@functools.cache
+def _small_reps(p):
+    return list(_all_small_reps(p))
+
+
+@st.composite
+def bc1_modules(draw):
+    """BC1 modules of total dimension at most 6: family members at random
+    points, random locally free modules, every module of dimension (2, 1),
+    and direct sums of small pieces."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    A = F.bc1_algebra()
+    kind = draw(st.sampled_from(["family", "locally free", "small", "sum"]))
+    if kind == "family":
+        l1, l2 = draw(
+            st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)).filter(any)
+        )
+        return F.bc1_V(l1, l2, p)
+    if kind == "locally free":
+        r1 = draw(st.integers(0, 2))
+        return R.random_locally_free(A, [1, r1], seed=draw(st.integers(0, 99)), p=p)
+    if kind == "small":
+        return draw(st.sampled_from(_small_reps(p)))
+    pieces = [
+        R.simple(A, 0, p),
+        R.simple(A, 1, p),
+        F.bc1_Vbar(p),
+        R.generalized_simple(A, 0, p),
+    ]
+    V = draw(st.sampled_from(pieces))
+    for W in draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=2)):
+        if V.total_dim() + W.total_dim() <= 6:
+            V = R.direct_sum(V, W)
+    return V
+
+
+@given(st.one_of(path_algebra_modules(), bc1_modules()))
+@settings(max_examples=80, deadline=None)
+def test_vertex_local_spins_give_the_whole_lattice(V):
+    lattice = S.submodules(V)
+    assert lattice.complete
+    assert lattice.members == _lattice_from_all_vectors(V)
+
+
+@pytest.mark.parametrize(
+    "V, spins",
+    [(F.bc1_V(1, 1, 3), 40 + 4), (F.bc1_Vbar(3), 4 + 1)],
+    ids=["bc1_V(1,1)", "bc1_Vbar"],
+)
+def test_submodules_spins_vectors_at_one_vertex(monkeypatch, V, spins):
+    calls = []
+    spin = S._spin
+    monkeypatch.setattr(S, "_spin", lambda V, e: calls.append(e) or spin(V, e))
+    S.submodules(V)
+    # sum over vertices of (p^dim V(i) - 1)/(p - 1), each vector at one vertex
+    assert len(calls) == spins
+    assert all(sum(any(vec) for vec in e) == 1 for e in calls)
 
 
 def test_exhaustive_sweep_identifies_the_boundary_module():
