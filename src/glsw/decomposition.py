@@ -13,27 +13,17 @@ from __future__ import annotations
 from glsw.algebra import cover_rotation, fold_class, gls_presentation, unfold, unfold_class
 from glsw import reps as R
 
-_COVER_CACHE = {}
-
 GENERIC_PRIME = 101
-
-
-def _cover_setup(quiver):
-    key = (quiver.n, tuple(quiver.edges), tuple(quiver.c))
-    if key not in _COVER_CACHE:
-        cover, vertex_list = unfold(quiver)
-        _COVER_CACHE[key] = (cover, vertex_list, gls_presentation(cover))
-    return _COVER_CACHE[key]
 
 
 class CertificationError(RuntimeError):
     """Raised when randomized decomposition evidence fails to certify."""
 
 
-def _summand_profile(algebra, d, seed, p):
+def _summand_profile(algebra, d, seed):
     """Decompose a generic representation of dimension d; returns a sorted
     list of (dimension vector, multiplicity)."""
-    V = R.random_locally_free(algebra, d, seed=seed, p=p)
+    V = R.random_locally_free(algebra, d, seed=seed, p=GENERIC_PRIME)
     parts = R.krull_schmidt(V, seed=seed)
     counts = {}
     for part in parts:
@@ -41,23 +31,22 @@ def _summand_profile(algebra, d, seed, p):
     return sorted(counts.items()), parts
 
 
-def kac_decomposition_unfolded(cover, d, seed=0, p=GENERIC_PRIME, algebra=None):
+def kac_decomposition_unfolded(cover, d, seed=0):
     """Generic summand dimension vectors for the cover quiver.
 
     Certified by (a) pairwise Ext-vanishing between the summands of the
     sampled representation and (b) agreement of the profile under a second
     seed.  Raises CertificationError (with the seeds) otherwise.
     """
-    if algebra is None:
-        algebra = gls_presentation(cover)
+    algebra = gls_presentation(cover)
     if all(x == 0 for x in d):
-        return {"summands": [], "seeds": [seed], "prime": p}
+        return {"summands": [], "seeds": [seed], "prime": GENERIC_PRIME}
     eta_bar = cover.null_root()
     last_error = None
     for round_ in range(2):
         s0 = seed + 10_000 * round_
-        profile, parts = _summand_profile(algebra, list(d), s0, p)
-        profile2, _ = _summand_profile(algebra, list(d), s0 + 1, p)
+        profile, parts = _summand_profile(algebra, list(d), s0)
+        profile2, _ = _summand_profile(algebra, list(d), s0 + 1)
         profile = _normalize_profile(profile, eta_bar)
         profile2 = _normalize_profile(profile2, eta_bar)
         if profile != profile2:
@@ -75,7 +64,7 @@ def kac_decomposition_unfolded(cover, d, seed=0, p=GENERIC_PRIME, algebra=None):
             return {
                 "summands": [(list(t), k) for t, k in profile],
                 "seeds": [s0, s0 + 1],
-                "prime": p,
+                "prime": GENERIC_PRIME,
             }
         last_error = f"summands of seed {s0} have extensions between them"
     raise CertificationError(last_error)
@@ -119,14 +108,14 @@ def _is_multiple(v, base):
     return k or 0
 
 
-def folded_decomposition(quiver, v, seed=0, p=GENERIC_PRIME):
+def folded_decomposition(quiver, v, seed=0):
     """Split v = m*eta + w and certify via the cover; returns a report dict."""
     if any(x < 0 for x in v):
         raise ValueError("rank vector must be nonnegative")
-    cover, vertex_list, cover_alg = _cover_setup(quiver)
+    cover, vertex_list = unfold(quiver)
     eta = quiver.null_root()
     vbar = unfold_class(quiver, v, vertex_list)
-    unfolded = kac_decomposition_unfolded(cover, vbar, seed=seed, p=p, algebra=cover_alg)
+    unfolded = kac_decomposition_unfolded(cover, vbar, seed=seed)
     # rotation invariance of the summand multiset
     rho = cover_rotation(quiver, vertex_list)
     summands = unfolded["summands"]
@@ -193,19 +182,18 @@ def folded_decomposition(quiver, v, seed=0, p=GENERIC_PRIME):
         ],
         "unfolded": unfolded,
         "seeds": unfolded["seeds"],
-        "prime": p,
+        "prime": GENERIC_PRIME,
     }
 
 
-def rigid_of_rank(quiver, w, seed=0, algebra=None):
+def rigid_of_rank(quiver, w, seed=0):
     """The rigid locally free module of rank w, by rejection sampling.
 
     Samples over the rationals until self-extensions vanish (at most 5
     attempts), then re-samples once more and checks the two results are
     isomorphic.
     """
-    if algebra is None:
-        algebra = gls_presentation(quiver)
+    algebra = gls_presentation(quiver)
     found = []
     tried = []
     for k in range(6):
@@ -228,17 +216,16 @@ def rigid_of_rank(quiver, w, seed=0, algebra=None):
     return found[0]
 
 
-def generic_decomposition_report(quiver, v, seed=0, p=GENERIC_PRIME, algebra=None):
+def generic_decomposition_report(quiver, v, seed=0):
     """Decompose a generic locally free module of rank v and compare with the
     arithmetic split v = m*eta + w."""
-    if algebra is None:
-        algebra = gls_presentation(quiver)
-    base = folded_decomposition(quiver, v, seed=seed, p=p)
+    algebra = gls_presentation(quiver)
+    base = folded_decomposition(quiver, v, seed=seed)
     eta = base["null_root"]
     report = dict(base)
     for attempt in range(2):
         s = seed + 77_000 * attempt
-        V = R.random_locally_free(algebra, v, seed=s, p=p)
+        V = R.random_locally_free(algebra, v, seed=s, p=GENERIC_PRIME)
         parts = R.krull_schmidt(V, seed=s)
         profile = []
         eta_count = 0
@@ -263,7 +250,7 @@ def generic_decomposition_report(quiver, v, seed=0, p=GENERIC_PRIME, algebra=Non
         if ok:
             report["module_evidence"] = {
                 "seed": s,
-                "prime": p,
+                "prime": GENERIC_PRIME,
                 "eta_bricks": eta_count,
                 "summands": profile,
             }

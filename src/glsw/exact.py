@@ -203,7 +203,8 @@ class Mat:
         return self + other.scale(-1)
 
     def __neg__(self):
-        return self.scale(-1)
+        data = _field(self.p).reduce([-x for x in self.data])
+        return Mat(self.rows, self.cols, data, self.p)
 
     def scale(self, s):
         F = _field(self.p)

@@ -18,6 +18,7 @@ from glsw.algebra import BoundQuiverAlgebra, Gen, gls_presentation
 from glsw.exact import Mat, _field
 from glsw.quivers import catalog_affine
 from glsw import reps as R
+from glsw.reps import _block_regular_nilpotent
 
 _CACHE = {}
 
@@ -54,14 +55,6 @@ def bc1_root(series, i, n):
     raise ValueError("series must be 'p' or 'q', i in {1, 2}")
 
 
-def _shift(n, p=None):
-    m = Mat.zero(n, n, p)
-    one = _field(p).one
-    for k in range(n - 1):
-        m.data[(k + 1) * n + k] = one
-    return m
-
-
 def _point(l1, l2, p):
     """The coordinates of the projective-line point (l1 : l2) in the field."""
     F = _field(p)
@@ -76,15 +69,14 @@ def bc1_V(l1, l2, p=None):
     l1, l2 = _point(l1, l2, p)
     A = bc1_algebra()
     alpha = Mat.from_rows([[1, 0], [0, l2], [0, l1], [0, 0]], p)
-    return R.Rep(A, [4, 2], {0: alpha, 1: _shift(4, p)}, p)
+    return R.Rep(A, [4, 2], {0: alpha, 1: _block_regular_nilpotent(4, 1, p)}, p)
 
 
 def bc1_Vbar(p=None):
     """The non-locally-free stable module in dimension (2, 1)."""
     A = bc1_algebra()
-    return R.Rep(
-        A, [2, 1], {0: Mat.from_rows([[1], [0]], p), 1: _shift(2, p)}, p
-    )
+    alpha = Mat.from_rows([[1], [0]], p)
+    return R.Rep(A, [2, 1], {0: alpha, 1: _block_regular_nilpotent(2, 1, p)}, p)
 
 
 def bc1_preprojective(i, n, p=None):
@@ -230,16 +222,18 @@ def b_family(ext, l1, l2, p=None):
             beta = Mat.identity(2, p)
         else:
             beta = Mat.from_rows([[0, 1], [l1 * inv(l2), 0]], p)
-        return R.Rep(A, [2, 2], {0: beta, 1: _shift(2, p), 2: _shift(2, p)}, p)
+        loops = {gid: _block_regular_nilpotent(2, 1, p) for gid in (1, 2)}
+        return R.Rep(A, [2, 2], {0: beta, **loops}, p)
     if ext.case == "triple":
         if l2 == 0:
             # the unique brick in dimension (1, 1)
             return R.Rep(A, [1, 1], {0: Mat.identity(1, p)}, p)
         beta = Mat.from_rows([[0, 1, 0], [0, 0, -1], [l1 * inv(l2), 0, 0]], p)
-        return R.Rep(A, [3, 3], {0: beta, 1: _shift(3, p), 2: _shift(3, p)}, p)
+        loops = {gid: _block_regular_nilpotent(3, 1, p) for gid in (1, 2)}
+        return R.Rep(A, [3, 3], {0: beta, **loops}, p)
     if ext.case == "thick":
         beta = Mat.from_rows([[0, 0, 0, 1], [0, l1, l2, 0]], p)
-        return R.Rep(A, [4, 2], {0: beta, 1: _shift(4, p)}, p)
+        return R.Rep(A, [4, 2], {0: beta, 1: _block_regular_nilpotent(4, 1, p)}, p)
     raise ValueError(f"unknown case {ext.case}")
 
 
@@ -247,15 +241,14 @@ def b_family(ext, l1, l2, p=None):
 # generic rank-eta brick sampling
 
 
-def eta_brick_sample(quiver, seed=0, algebra=None):
+def eta_brick_sample(quiver, seed=0):
     """Sample a generic locally free module of null-root rank and check the
     expected brick properties; one retry on a bad draw.
 
     Returns (module, report); the report lists each check, the seeds used,
     and whether a retry was needed.
     """
-    if algebra is None:
-        algebra = gls_presentation(quiver)
+    algebra = gls_presentation(quiver)
     eta = quiver.null_root()
     attempts = []
     for attempt in range(2):

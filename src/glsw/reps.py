@@ -48,9 +48,6 @@ class Rep:
             if m.p != p:
                 raise ValueError("field tag mismatch")
 
-    def mat(self, gid):
-        return self.mats[gid]
-
     def total_dim(self):
         return sum(self.dims)
 
@@ -122,14 +119,10 @@ def validate(V):
             if not m.is_zero():
                 bad.append(("nilpotency", g.name))
     for k, rel in enumerate(A.relations):
-        if not rel:
-            continue
-        src = rel[0][1][0]
-        tgt = A.path_target(rel[0][1])
-        acc = Mat.zero(V.dims[tgt], V.dims[src], V.p)
+        elem = {}
         for coef, path in rel:
-            acc = acc + V.path_matrix(path).scale(coef)
-        if not acc.is_zero():
+            elem[path] = elem.get(path, 0) + coef
+        if elem and not V.element_matrix(elem).is_zero():
             bad.append(("relation", k))
     return bad
 
@@ -204,11 +197,7 @@ def generalized_simple(algebra, i, p=None):
     mats = {}
     for gid, g in enumerate(algebra.gens):
         if g.is_loop and g.src == i:
-            m = Mat.zero(c, c, p)
-            one = _field(p).one
-            for k in range(c - 1):
-                m.data[(k + 1) * c + k] = one
-            mats[gid] = m
+            mats[gid] = _block_regular_nilpotent(c, 1, p)
     return Rep(algebra, dims, mats, p)
 
 
@@ -222,45 +211,75 @@ def simple(algebra, i, p=None):
 # Hom and Ext
 
 
-def hom_basis(V, W):
-    """Basis of intertwiners V -> W, canonicalized by sparse_kernel_basis."""
-    if not same_algebra(V.algebra, W.algebra) or V.p != W.p:
-        raise ValueError("mismatched algebras or fields")
-    A = V.algebra
+def _solve_blocks(shapes, equations, p):
+    """Basis of the solutions (X_b) of the equations sum L * X_b * R = 0.
+
+    X_b has shape ``shapes[b]``; an equation is a list of ``(L, b, R)``
+    terms, with ``None`` standing for an identity factor.  Each entry of an
+    equation is one sparse row over the entries of the X_b, laid out row by
+    row in block order, read off the nonzeros of the rows of L and the
+    columns of R.  Each solution is a list of matrices X_b, canonicalized by
+    ``sparse_kernel_basis``."""
     offs = []
     total = 0
-    for i in range(A.n):
+    for r, c in shapes:
         offs.append(total)
-        total += W.dims[i] * V.dims[i]
+        total += r * c
     if total == 0:
         return []
+    one = _field(p).one
     rows = []
-    for gid, g in enumerate(A.gens):
-        s, t = g.src, g.tgt
-        a, b = V.mats[gid], W.mats[gid]
-        # constraint f_t * V(a) - W(a) * f_s = 0, entry (r, c), as a sparse row
-        for r in range(W.dims[t]):
-            for c in range(V.dims[s]):
+    for terms in equations:
+        parts = []
+        for L, b, R in terms:
+            r, c = shapes[b]
+            if L is None:
+                left = [[(k, one)] for k in range(r)]
+            else:
+                left = [
+                    [(k, x) for k, x in enumerate(L.row(i)) if x] for i in range(L.rows)
+                ]
+            if R is None:
+                right = [[(l, one)] for l in range(c)]
+            else:
+                right = [
+                    [(l, y) for l, y in enumerate(R.data[j :: R.cols]) if y]
+                    for j in range(R.cols)
+                ]
+            parts.append((offs[b], c, left, right))
+        # entry (er, ec) of L X R is sum_{k, l} L[er, k] X[k, l] R[l, ec]
+        height, width = len(parts[0][2]), len(parts[0][3])
+        for er in range(height):
+            for ec in range(width):
                 row = {}
-                for k in range(V.dims[t]):
-                    x = a[k, c]
-                    if x:
-                        j = offs[t] + r * V.dims[t] + k
-                        row[j] = row.get(j, 0) + x
-                for k in range(W.dims[s]):
-                    x = b[r, k]
-                    if x:
-                        j = offs[s] + k * V.dims[s] + c
-                        row[j] = row.get(j, 0) - x
-                rows.append(row)
-    basis = []
-    for vec in sparse_kernel_basis(rows, total, V.p):
-        f = {}
-        for i in range(A.n):
-            data = vec[offs[i] : offs[i] + W.dims[i] * V.dims[i]]
-            f[i] = Mat(W.dims[i], V.dims[i], list(data), V.p)
-        basis.append(f)
-    return basis
+                for off, c, left, right in parts:
+                    for k, x in left[er]:
+                        base = off + k * c
+                        for l, y in right[ec]:
+                            # the 1 of an identity factor needs no product
+                            v = y if x is one else x if y is one else x * y
+                            row[base + l] = row.get(base + l, 0) + v
+                if row:
+                    rows.append(row)
+    return [
+        [Mat(r, c, vec[o : o + r * c], p) for o, (r, c) in zip(offs, shapes)]
+        for vec in sparse_kernel_basis(rows, total, p)
+    ]
+
+
+def hom_basis(V, W):
+    """Basis of intertwiners V -> W, each a list of per-vertex matrices f_i.
+
+    The f_i solve f_t V(a) - W(a) f_s = 0, one block equation per generator
+    a: s -> t, through ``_solve_blocks``."""
+    if not same_algebra(V.algebra, W.algebra) or V.p != W.p:
+        raise ValueError("mismatched algebras or fields")
+    shapes = [(W.dims[i], V.dims[i]) for i in range(V.algebra.n)]
+    equations = [
+        [(None, g.tgt, V.mats[gid]), (-W.mats[gid], g.src, None)]
+        for gid, g in enumerate(V.algebra.gens)
+    ]
+    return _solve_blocks(shapes, equations, V.p)
 
 
 def hom_dim(V, W):
@@ -649,11 +668,11 @@ def krull_schmidt(V, seed=0):
     return out
 
 
-def _try_split(W, rng, attempts=12):
+def _try_split(W, rng):
     basis = hom_basis(W, W)
     if len(basis) == 1:
         return None
-    for _ in range(attempts):
+    for _ in range(12):
         f = _random_combination(basis, W, rng)
         parts = _split_along(W, f)
         if parts is not None:
@@ -705,9 +724,13 @@ def _block_regular_nilpotent(c, r, p):
 def random_locally_free(algebra, r, seed=0, p=None):
     """A random representation with free loop restrictions of rank r.
 
-    Loops are fixed block-regular nilpotents; arrow entries are solved
-    against the relations and sampled from the kernel (integers in
-    [-exact.BOX, exact.BOX] over the rationals, whole field over F_p).
+    Loops are fixed block-regular nilpotents.  Each relation must be linear
+    in the arrows: a sum of terms coef * post * X * pre, with X the matrix of
+    its one arrow and pre, post the products of the loops before and after
+    it.  The arrow matrices are a random combination of the solutions of
+    these equations from ``_solve_blocks``, or drawn entry by entry when no
+    relation applies (integers in [-exact.BOX, exact.BOX] over the
+    rationals, whole field over F_p).
     """
     A = algebra
     F = _field(p)
@@ -715,19 +738,15 @@ def random_locally_free(algebra, r, seed=0, p=None):
         raise ValueError("negative rank")
     dims = [vertex_capacity(A, i) * r[i] for i in range(A.n)]
     mats = {}
-    arrow_ids = []
+    arrows = {}  # generator id -> block index
     for gid, g in enumerate(A.gens):
         if g.is_loop:
             mats[gid] = _block_regular_nilpotent(g.max_run + 1, r[g.src], p)
         else:
-            arrow_ids.append(gid)
-    offs = {}
-    total = 0
-    for gid in arrow_ids:
-        g = A.gens[gid]
-        offs[gid] = total
-        total += dims[g.tgt] * dims[g.src]
-    rows = []
+            arrows[gid] = len(arrows)
+    shapes = [(dims[A.gens[gid].tgt], dims[A.gens[gid].src]) for gid in arrows]
+    loops = Rep(A, dims, mats, p)  # arrows zero, to read the loop products
+    equations = []
     for rel in A.relations:
         if not rel:
             continue
@@ -735,65 +754,29 @@ def random_locally_free(algebra, r, seed=0, p=None):
         tgt = A.path_target(rel[0][1])
         if dims[src] == 0 or dims[tgt] == 0:
             continue
-        # each relation must be linear in the arrow matrices
-        for coef, path in rel:
-            n_arrows = sum(1 for gid in path[1] if not A.gens[gid].is_loop)
-            if n_arrows != 1:
+        terms = []
+        for coef, (_, word) in rel:
+            at = [k for k, gid in enumerate(word) if gid in arrows]
+            if len(at) != 1:
                 raise ValueError("relation is not linear in the arrows")
-        for er in range(dims[tgt]):
-            for ec in range(dims[src]):
-                row = [0] * total
-                for coef, path in rel:
-                    pre = Mat.identity(dims[src], p)
-                    post = None
-                    agid = None
-                    seen_arrow = False
-                    for gid in path[1]:
-                        g = A.gens[gid]
-                        if g.is_loop:
-                            if seen_arrow:
-                                post = (
-                                    mats[gid]
-                                    if post is None
-                                    else mats[gid] * post
-                                )
-                            else:
-                                pre = mats[gid] * pre
-                        else:
-                            seen_arrow = True
-                            agid = gid
-                    if post is None:
-                        post = Mat.identity(dims[tgt], p)
-                    # contribution coef * post * X * pre; entry (er, ec):
-                    # sum_{k,l} post[er,k] X[k,l] pre[l,ec]
-                    g = A.gens[agid]
-                    dk, dl = dims[g.tgt], dims[g.src]
-                    c = F.coerce(coef)
-                    for k in range(dk):
-                        pk = post[er, k]
-                        if not pk:
-                            continue
-                        for l in range(dl):
-                            pl = pre[l, ec]
-                            if pl:
-                                row[offs[agid] + k * dl + l] += c * pk * pl
-                rows.append(row)
+            k = at[0]
+            pre = loops.path_matrix((src, word[:k]))
+            post = loops.path_matrix((tgt, word[k + 1 :]))
+            terms.append((post.scale(coef), arrows[word[k]], pre))
+        equations.append(terms)
     rng = random.Random(f"rlf:{seed}")
-    if total == 0:
-        coords = []
-    elif rows:
-        M = Mat.from_rows(rows, p)
-        coords = [F.zero] * total
-        for v in kernel_basis(M):
+    if equations:
+        blocks = [Mat.zero(rows, cols, p) for rows, cols in shapes]
+        for sol in _solve_blocks(shapes, equations, p):
             c = F.random(rng)
-            coords = [a + c * b for a, b in zip(coords, v)]
-        coords = F.reduce(coords)
+            blocks = [x + y.scale(c) for x, y in zip(blocks, sol)]
     else:
-        coords = [F.random(rng) for _ in range(total)]
-    for gid in arrow_ids:
-        g = A.gens[gid]
-        dk, dl = dims[g.tgt], dims[g.src]
-        mats[gid] = Mat(dk, dl, coords[offs[gid] : offs[gid] + dk * dl], p)
+        blocks = [
+            Mat(rows, cols, [F.random(rng) for _ in range(rows * cols)], p)
+            for rows, cols in shapes
+        ]
+    for gid, b in arrows.items():
+        mats[gid] = blocks[b]
     V = Rep(A, dims, mats, p)
     if validate(V):
         raise AssertionError("sampled representation violates relations")

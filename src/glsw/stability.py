@@ -9,8 +9,10 @@ of the whole module.
 A weight is a rational linear functional on dimension vectors.  The defect
 weight of an affine quiver separates the preprojective, regular and
 preinjective parts; a module of defect-weight zero is semistable when no
-submodule has positive weight.  Rational-entry modules are certified by
-reducing modulo several small primes.
+submodule has positive weight.  Rational-entry modules are reduced modulo
+several small primes: one prime without a destabilizing submodule certifies
+the module, a negative verdict needs a witness that lifts back to the
+rationals, and anything else is ``unknown``.
 """
 
 from __future__ import annotations
@@ -117,8 +119,7 @@ def submodules(V, config=None):
     total = V.total_dim()
     if total > cfg["dim_cap"]:
         raise ValueError(f"total dimension {total} exceeds cap {cfg['dim_cap']}")
-    zero = tuple(() for _ in range(V.algebra.n))
-    members = {zero}
+    spins = set()
     count = 0
     complete = True
 
@@ -141,13 +142,15 @@ def submodules(V, config=None):
         if count > cfg["enum_cap"]:
             complete = False
             break
-        members.add(_spin(V, element))
-    # close under sums
+        spins.add(_spin(V, element))
+    # close under sums: every member is a sum of spins, so joining each new
+    # member with one spin at a time reaches all of them
+    members = spins | {tuple(() for _ in range(V.algebra.n))}
     frontier = list(members)
     while frontier:
         nxt = []
         for a in frontier:
-            for b in list(members):
+            for b in spins:
                 j = _join(V, a, b)
                 if j not in members:
                     members.add(j)
@@ -206,19 +209,36 @@ def is_stable(V, theta, config=None):
 
 
 def _stability_verdict(V, theta, config, strict):
+    """The verdict of one field, or over Q the verdict of its reductions.
+
+    A destabilizing Q-submodule saturates to an integral one, whose
+    reduction is a destabilizing F_p-submodule of the same dimension vector
+    at every prime; so one prime that finds none certifies ``True``.  A
+    ``False`` over Q needs a nonzero weight or an F_p witness that lifts to
+    a Q-submodule; otherwise (a prime may reduce a stable module to a
+    degenerate one) the verdict is ``unknown``."""
     cfg = dict(DEFAULT_CONFIG, **(config or {}))
     if V.p is not None:
         out = _check_one_field(V, theta, cfg, strict)
         out["field"] = V.p
         out["strict"] = strict
         return out
-    results = {}
-    verdict = True
-    for p in cfg["primes"]:
-        res = _check_one_field(_reduce_rep(V, p), theta, cfg, strict)
-        results[p] = res
-        if res["verdict"] is not True:
-            verdict = res["verdict"]
+    results = {
+        p: _check_one_field(_reduce_rep(V, p), theta, cfg, strict)
+        for p in cfg["primes"]
+    }
+    verdicts = [res["verdict"] for res in results.values()]
+    if any(v is True for v in verdicts):
+        verdict = True
+    elif theta.value(V.dims) != 0 or any(
+        "witness" in res and _witness_lifts(V, res["witness"], p)
+        for p, res in results.items()
+    ):
+        verdict = False
+    elif all(v == "unknown (cap)" for v in verdicts):
+        verdict = "unknown (cap)"
+    else:
+        verdict = "unknown"
     return {
         "verdict": verdict,
         "strict": strict,
@@ -226,6 +246,20 @@ def _stability_verdict(V, theta, config, strict):
         "fields": sorted(results),
         "per_field": results,
     }
+
+
+def _witness_lifts(V, witness, p):
+    """Whether the F_p witness, lifted to integers in (-p/2, p/2], spans a
+    subrepresentation of the rational module V."""
+    bases = [
+        [[x - p if 2 * x > p else x for x in row] for row in rows]
+        for rows in witness["bases"]
+    ]
+    try:
+        R._subrep(V, bases)
+    except ValueError:
+        return False
+    return True
 
 
 def regular_tau_rigid_check(quiver, v, seed=0, config=None):

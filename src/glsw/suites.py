@@ -375,12 +375,11 @@ def suite_tubes(config=None):
             tier=data["tier"],
         )
     q = catalog_affine("C", 2)
-    A = gls_presentation(q)
     seed = split_seed(cfg["seed"], "tubes:homlaw") % 2**20
     hom_ok = True
     for tube in q.tubes()["tubes"]:
         samples = [
-            D.rigid_of_rank(q, list(v), seed=seed + 17 * k, algebra=A)
+            D.rigid_of_rank(q, list(v), seed=seed + 17 * k)
             for k, v in enumerate(tube["quasi_simples"])
         ]
         for i, Vi in enumerate(samples):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from glsw.algebra import BoundQuiverAlgebra, Gen, gls_presentation, unfold
 from glsw.exact import Echelon, Mat, kernel_basis, rank
+from glsw.families import extending_algebra
 from glsw.quivers import catalog_affine
 from glsw import reps as R
 
@@ -496,6 +498,53 @@ def test_random_locally_free_prime_field():
     assert V.p == 101
     assert R.validate(V) == []
     assert R.is_locally_free(V) == (True, [2, 2])
+
+
+# sha256 of to_json(random_locally_free(ext.algebra, [1, 1], seed=3)) over Q,
+# and of rank [2, 1], seed=3 over F_101; only "triple" has a relation, with
+# loops on both sides of its arrow
+EXTENDING_SAMPLES = {
+    ("B", 2): (
+        "kronecker",
+        "aa55c9829b8af49746ce44c61f19eaec9ecf40e626c6039a24cb34255bfb67be",
+        "d9599731b19f9643f82e2f9f4f267085a48f6f1a8632cad7a86a5bbb425fed93",
+    ),
+    ("C", 2): (
+        "gentle",
+        "3c39416367c175becab9fdabf0e19da4dd4f7773df2e49835d0647608d3fcbdd",
+        "5460117be4fc29c1d940938b8c476f83c5f21eed02ddb4d393e08f56d6c27f36",
+    ),
+    ("G21", None): (
+        "triple",
+        "21862bd32810fe968805aeef4b60602e06bcbcabf18ed07d935addc9f11a62cd",
+        "60865e74dac256d2f2b2312a57231611cdd72c0dc5ec1c79bf1321cf465fa643",
+    ),
+    ("BC1", None): (
+        "thick",
+        "0198483cb5890cdf09ee50b08ad1b9fd4c4c6428a0c1022353ed9f960a8b15e1",
+        "1187166e4056e1603c6414ef016f0f7848d0d6dc57d19e11bb3d8d4223ae5282",
+    ),
+}
+
+
+@pytest.mark.parametrize("fam, rank", list(EXTENDING_SAMPLES), ids=lambda x: str(x))
+def test_random_locally_free_pinned_on_extending_algebras(fam, rank):
+    case, rational, prime = EXTENDING_SAMPLES[fam, rank]
+    ext = extending_algebra(catalog_affine(fam, rank).extending_data())
+    assert ext.case == case
+    digest = lambda V: hashlib.sha256(R.to_json(V).encode()).hexdigest()
+    assert digest(R.random_locally_free(ext.algebra, [1, 1], seed=3)) == rational
+    assert digest(R.random_locally_free(ext.algebra, [2, 1], seed=3, p=101)) == prime
+
+
+def test_random_locally_free_solves_relations_sparsely(monkeypatch):
+    def dense(M):
+        raise AssertionError("dense kernel called")
+
+    monkeypatch.setattr(R, "kernel_basis", dense)
+    for p in (None, 101):
+        V = R.random_locally_free(algebra("C", 2), [1, 1, 1], seed=0, p=p)
+        assert R.validate(V) == []
 
 
 # -- serialization -----------------------------------------------------------

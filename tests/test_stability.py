@@ -280,6 +280,50 @@ def test_submodules_spins_vectors_at_one_vertex(monkeypatch, V, spins):
     assert all(sum(any(vec) for vec in e) == 1 for e in calls)
 
 
+@pytest.mark.parametrize(
+    "V, size",
+    [
+        (R.direct_sum(*[R.simple(F.bc1_algebra(), 1, 3)] * 4), 212),
+        (
+            R.direct_sum(
+                *[R.simple(F.bc1_algebra(), 0, 2)] * 3,
+                *[R.simple(F.bc1_algebra(), 1, 2)] * 3,
+            ),
+            16 * 16,
+        ),
+    ],
+    ids=["S1^4 over F3", "S0^3+S1^3 over F2"],
+)
+def test_sum_closure_joins_members_with_spins_only(monkeypatch, V, size):
+    spins, joins = [], []
+    spin, join = S._spin, S._join
+    monkeypatch.setattr(S, "_spin", lambda V, e: spins.append(spin(V, e)) or spins[-1])
+    monkeypatch.setattr(S, "_join", lambda V, a, b: joins.append(b) or join(V, a, b))
+    lattice = S.submodules(V)
+    assert len(lattice) == size
+    # each member is joined with the distinct spins only, once
+    assert set(joins) <= set(spins)
+    assert len(joins) <= size * len(set(spins))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_stable_member_with_a_degenerate_reduction(p):
+    """bc1_V(1, p) reduces mod p to the point at infinity, which is not
+    stable; the other primes certify the rational module."""
+    verdict = S.is_stable(F.bc1_V(1, p), S.defect_weight(catalog_affine("BC1")))
+    assert verdict["per_field"][p]["verdict"] is False
+    assert verdict["verdict"] is True
+
+
+def test_uncertified_rational_instability_is_unknown():
+    """A witness that only exists mod 3 gives no verdict on its own."""
+    verdict = S.is_stable(
+        F.bc1_V(1, 3), S.defect_weight(catalog_affine("BC1")), {"primes": (3,)}
+    )
+    assert verdict["per_field"][3]["verdict"] is False
+    assert verdict["verdict"] == "unknown"
+
+
 def test_exhaustive_sweep_identifies_the_boundary_module():
     """Over F_3 the only defect-stable representation class in dimension
     (2, 1) is the boundary module."""
