@@ -116,62 +116,40 @@ def folded_decomposition(quiver, v, seed=0):
     eta = quiver.null_root()
     vbar = unfold_class(quiver, v, vertex_list)
     unfolded = kac_decomposition_unfolded(cover, vbar, seed=seed)
-    # rotation invariance of the summand multiset
     rho = cover_rotation(quiver, vertex_list)
-    summands = unfolded["summands"]
-    rotated = sorted(
-        (tuple(dv[rho.index(k)] for k in range(len(dv))), mult)
-        for dv, mult in summands
-    )
-    plain = sorted((tuple(dv), mult) for dv, mult in summands)
-    if rotated != plain:
-        raise CertificationError("summand multiset is not rotation invariant")
-    eta_bar = cover.null_root()
-    m = 0
+    remaining = {tuple(dv): mult for dv, mult in unfolded["summands"]}
+    # _normalize_profile turned every k*eta_bar into k copies of eta_bar
+    m = remaining.pop(tuple(cover.null_root()), 0)
     certified = []
-    # group the non-null summands into rotation orbits; a single cover summand
-    # need not be constant along fibers, but its orbit sum always is
-    remaining = {tuple(dv): mult for dv, mult in summands}
+    # group the non-null summands into rotation orbits: the multiset is
+    # rotation invariant when each orbit has one multiplicity, and an orbit
+    # sum is constant along fibers even where a single summand is not
     for dv in sorted(remaining):
-        mult = remaining.get(dv, 0)
-        if not mult:
-            continue
-        k = _is_multiple(dv, eta_bar)
-        if k:
-            m += k * mult
-            del remaining[dv]
+        if dv not in remaining:
             continue
         orbit = [dv]
         cur = tuple(dv[rho.index(j)] for j in range(len(dv)))
         while cur != dv:
             orbit.append(cur)
             cur = tuple(cur[rho.index(j)] for j in range(len(cur)))
+        mults = {remaining.pop(member, 0) for member in orbit}
+        if len(mults) != 1 or 0 in mults:
+            raise CertificationError("summand multiset is not rotation invariant")
         total = [sum(col) for col in zip(*orbit)]
-        mult = min(remaining.get(member, 0) for member in orbit)
-        if mult == 0 or any(
-            remaining.get(member, 0) != mult * orbit.count(member)
-            for member in set(orbit)
-        ):
-            raise CertificationError(
-                "rotation orbit of a summand has uneven multiplicities"
-            )
-        for member in set(orbit):
-            del remaining[member]
         folded = fold_class(quiver, total, vertex_list)
         if folded is None:
             raise CertificationError(
                 f"orbit sum {total} does not fold to a constant class"
             )
-        certified.append((folded, mult))
+        certified.append((folded, mults.pop()))
     w = [a - m * e for a, e in zip(v, eta)]
     if any(x < 0 for x in w):
         raise CertificationError("folded rigid part went negative")
     if m > 0 and quiver.defect(w) != 0:
         raise CertificationError("rigid part of a degenerate vector has defect")
     for folded, _ in certified:
-        if folded is not None and any(folded):
-            if not quiver.is_positive_real_root(folded):
-                raise CertificationError(f"summand {folded} is not a real root")
+        if not quiver.is_positive_real_root(folded):
+            raise CertificationError(f"summand {folded} is not a real root")
     return {
         "input": list(v),
         "m": m,

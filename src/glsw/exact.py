@@ -13,8 +13,12 @@ instead of truncating.
 There are two eliminations.  ``Echelon`` keeps the reduced row echelon basis
 of a growing span of sparse ``{column: entry}`` rows over either field; the
 rational ``rref`` and ``rank``, Krylov spaces, submodule spins, the ideal of
-relations of a bound quiver algebra, and the radicals, presentation kernels
-and quotients of representations all grow one.  Dense matrices over
+relations of a bound quiver algebra, and the radicals and presentation
+kernels of representations all grow one; ``Echelon(p, rows)`` starts from
+given rows.  Subrepresentations and quotients are read off the pivots of
+per-vertex ``Echelon``s: a vector of the span is the sum of the pivot rows
+weighted by its pivot entries, and a residue modulo the span has no entry
+in a pivot column.  Dense matrices over
 F_p go to the fixed ``fpkernel``.  ``sparse_kernel_basis`` stays a batch
 elimination, because choosing the sparsest pivot row needs all rows at once.
 
@@ -290,13 +294,16 @@ class Echelon:
     ``rows`` maps each pivot column to its row, a sparse ``{column: entry}``
     dict with a leading 1 at the pivot and no entry in any other pivot
     column.  A reduced row echelon basis is unique, so it does not depend on
-    the order in which rows were inserted."""
+    the order in which rows were inserted.  ``Echelon(p, rows)`` starts from
+    the span of the given rows."""
 
     __slots__ = ("p", "rows")
 
-    def __init__(self, p=None):
+    def __init__(self, p=None, rows=()):
         self.p = p
         self.rows = {}
+        for row in rows:
+            self.insert(row)
 
     def reduce(self, row):
         """The residue of ``row`` (a sparse dict or a dense list) modulo the
@@ -341,7 +348,7 @@ def rref(M):
         a = list(M.data)
         pivots = fpkernel.rref(a, M.rows, M.cols, M.p)
         return Mat(M.rows, M.cols, a, M.p), pivots
-    E = _row_span(M)
+    E = Echelon(None, M.rowlist())
     data = [x for r in E.basis(M.cols) for x in r]
     data += [_field(None).zero] * (M.rows * M.cols - len(data))
     return Mat(M.rows, M.cols, data, None), sorted(E.rows)
@@ -350,14 +357,7 @@ def rref(M):
 def rank(M):
     if M.p is not None:
         return len(fpkernel.rref(list(M.data), M.rows, M.cols, M.p))
-    return len(_row_span(M).rows)
-
-
-def _row_span(M):
-    E = Echelon(M.p)
-    for i in range(M.rows):
-        E.insert(M.row(i))
-    return E
+    return len(Echelon(None, M.rowlist()).rows)
 
 
 def solve(M, B):

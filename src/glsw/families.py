@@ -20,13 +20,9 @@ from glsw.quivers import catalog_affine
 from glsw import reps as R
 from glsw.reps import _block_regular_nilpotent
 
-_CACHE = {}
-
 
 def bc1_algebra():
-    if "bc1" not in _CACHE:
-        _CACHE["bc1"] = gls_presentation(catalog_affine("BC1"))
-    return _CACHE["bc1"]
+    return gls_presentation(catalog_affine("BC1"))
 
 
 BC1_COXETER = [[-1, 1], [-4, 3]]

@@ -25,7 +25,6 @@ from glsw.exact import (
     poly_mul,
     rank,
     rref,  # unused; perfbench/tests checks that the tracer rebinds reps.rref
-    solve,
     sparse_kernel_basis,
 )
 
@@ -428,59 +427,43 @@ def _kernel_top(V, proj0, cover):
     return out
 
 
-def _subrep(V, bases):
-    """Restriction of V to per-vertex subspaces given by row-vector bases."""
+def _subrep(V, spans):
+    """Restriction of V to the generator-stable subspaces held by the
+    ``Echelon``s ``spans``, in the basis of their rows in pivot order.
+
+    The image of a source row lies in the target span exactly when its
+    residue there is zero, and then its coordinates are its entries at the
+    target pivots; ``ValueError`` is raised otherwise."""
     A = V.algebra
-    dims = [len(b) for b in bases]
+    bases = [E.basis(d) for E, d in zip(spans, V.dims)]
     mats = {}
-    bmats = [
-        Mat.from_rows(bases[i], V.p) if bases[i] else Mat.zero(0, V.dims[i], V.p)
-        for i in range(A.n)
-    ]
     for gid, g in enumerate(A.gens):
-        s, t = g.src, g.tgt
-        if dims[s] and V.dims[t]:
-            # the images of the source basis, in coordinates of the target basis
-            m = solve(bmats[t].transpose(), V.mats[gid] * bmats[s].transpose())
-            if m is None:
-                raise ValueError("subspaces are not generator-stable")
-        else:
-            m = Mat.zero(dims[t], dims[s], V.p)
-        mats[gid] = m
-    return Rep(A, dims, mats, V.p)
+        E = spans[g.tgt]
+        images = [V.mats[gid].matvec(row) for row in bases[g.src]]
+        if any(E.reduce(img) for img in images):
+            raise ValueError("subspaces are not generator-stable")
+        data = [img[c] for c in sorted(E.rows) for img in images]
+        mats[gid] = Mat(len(E.rows), len(images), data, V.p)
+    return Rep(A, [len(b) for b in bases], mats, V.p)
 
 
 def _quotient_rep(V, spans):
     """Quotient of V by the generator-stable subspaces held by the
-    ``Echelon``s ``spans``, in the coordinates outside their pivots."""
+    ``Echelon``s ``spans``, in the coordinates outside their pivots.
+
+    The class of a vector is its residue modulo the span, which has no
+    entry in a pivot column, read at the free positions; column j of the
+    induced map is the residue of column j of V(a)."""
     A = V.algebra
-    F = _field(V.p)
-    proj = []  # per-vertex projection matrices (complement coordinates)
-    frees = []  # per-vertex positions outside the pivots of the span
-    for i in range(A.n):
-        rows = spans[i].rows
-        free = [j for j in range(V.dims[i]) if j not in rows]
-        at = {j: r for r, j in enumerate(free)}
-        # x -> coordinates on free positions after subtracting pivot parts
-        P = Mat.zero(len(free), V.dims[i], V.p)
-        for r, j in enumerate(free):
-            P.data[r * P.cols + j] = F.one
-        for piv, row in rows.items():
-            for j, val in row.items():
-                if j != piv:
-                    P.data[at[j] * P.cols + piv] = F.coerce(-val)
-        proj.append(P)
-        frees.append(free)
-    dims = [len(free) for free in frees]
+    zero = _field(V.p).zero
+    frees = [[j for j in range(d) if j not in E.rows] for E, d in zip(spans, V.dims)]
     mats = {}
     for gid, g in enumerate(A.gens):
-        s, t = g.src, g.tgt
-        # induced map: restrict to the free coordinates of the source
-        lift = Mat.zero(V.dims[s], dims[s], V.p)
-        for c, j in enumerate(frees[s]):
-            lift.data[j * lift.cols + c] = F.one
-        mats[gid] = proj[t] * (V.mats[gid] * lift)
-    return Rep(A, dims, mats, V.p)
+        M = V.mats[gid]
+        cols = [spans[g.tgt].reduce(M.data[j :: M.cols]) for j in frees[g.src]]
+        data = [col.get(i, zero) for i in frees[g.tgt] for col in cols]
+        mats[gid] = Mat(len(frees[g.tgt]), len(cols), data, V.p)
+    return Rep(A, [len(free) for free in frees], mats, V.p)
 
 
 def g_vector(V):
@@ -697,8 +680,11 @@ def _split_along(W, f):
         power = [1]
         for _ in range(e):
             power = poly_mul(power, g, p)
-        bases = [kernel_basis(poly_eval_mat(power, f[i])) for i in range(W.algebra.n)]
-        parts.append(_subrep(W, bases))
+        spans = [
+            Echelon(p, kernel_basis(poly_eval_mat(power, f[i])))
+            for i in range(W.algebra.n)
+        ]
+        parts.append(_subrep(W, spans))
     if sum(x.total_dim() for x in parts) != W.total_dim():
         return None
     return parts

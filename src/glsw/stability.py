@@ -216,17 +216,23 @@ def _stability_verdict(V, theta, config, strict):
     at every prime; so one prime that finds none certifies ``True``.  A
     ``False`` over Q needs a nonzero weight or an F_p witness that lifts to
     a Q-submodule; otherwise (a prime may reduce a stable module to a
-    degenerate one) the verdict is ``unknown``."""
+    degenerate one) the verdict is ``unknown``.  A prime that divides a
+    denominator of V has no reduction: its entry in ``per_field`` is
+    ``unknown`` with the reason, and the other primes decide."""
     cfg = dict(DEFAULT_CONFIG, **(config or {}))
     if V.p is not None:
         out = _check_one_field(V, theta, cfg, strict)
         out["field"] = V.p
         out["strict"] = strict
         return out
-    results = {
-        p: _check_one_field(_reduce_rep(V, p), theta, cfg, strict)
-        for p in cfg["primes"]
-    }
+    results = {}
+    for p in cfg["primes"]:
+        try:
+            Vp = _reduce_rep(V, p)
+        except ZeroDivisionError as err:
+            results[p] = {"verdict": "unknown", "reason": str(err)}
+            continue
+        results[p] = _check_one_field(Vp, theta, cfg, strict)
     verdicts = [res["verdict"] for res in results.values()]
     if any(v is True for v in verdicts):
         verdict = True
@@ -251,12 +257,12 @@ def _stability_verdict(V, theta, config, strict):
 def _witness_lifts(V, witness, p):
     """Whether the F_p witness, lifted to integers in (-p/2, p/2], spans a
     subrepresentation of the rational module V."""
-    bases = [
-        [[x - p if 2 * x > p else x for x in row] for row in rows]
+    spans = [
+        Echelon(None, [[x - p if 2 * x > p else x for x in row] for row in rows])
         for rows in witness["bases"]
     ]
     try:
-        R._subrep(V, bases)
+        R._subrep(V, spans)
     except ValueError:
         return False
     return True

@@ -113,6 +113,28 @@ def test_generic_module_report_mixed():
     assert rep["module_evidence"]["eta_bricks"] == 1
 
 
+@pytest.mark.parametrize(
+    "summands",
+    [
+        [([1, 0, 0, 0, 1], 1)],
+        [
+            ([1, 0, 0, 0, 1], 1),
+            ([0, 1, 0, 0, 1], 1),
+            ([0, 0, 1, 0, 1], 1),
+            ([0, 0, 0, 1, 1], 2),
+        ],
+    ],
+    ids=["missing orbit members", "uneven multiplicities"],
+)
+def test_rotation_variant_summands_are_refused(monkeypatch, summands):
+    """The BC1 cover is D4~ with the rotation (1 2 3 0 4); a summand
+    multiset it moves does not fold."""
+    unfolded = {"summands": summands, "seeds": [0, 1], "prime": D.GENERIC_PRIME}
+    monkeypatch.setattr(D, "kac_decomposition_unfolded", lambda *a, **k: unfolded)
+    with pytest.raises(D.CertificationError, match="not rotation invariant"):
+        D.folded_decomposition(catalog_affine("BC1"), [1, 2])
+
+
 def test_is_multiple_helper():
     assert D._is_multiple([2, 4], [1, 2]) == 2
     assert D._is_multiple([0, 0], [1, 2]) == 0

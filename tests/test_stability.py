@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glsw.algebra import BoundQuiverAlgebra, Gen
-from glsw.exact import Mat, rank
+from glsw.exact import Echelon, Mat, rank
 from glsw.quivers import catalog_affine
 from glsw import families as F, reps as R, stability as S
 
@@ -322,6 +322,71 @@ def test_uncertified_rational_instability_is_unknown():
     )
     assert verdict["per_field"][3]["verdict"] is False
     assert verdict["verdict"] == "unknown"
+
+
+def test_prime_dividing_a_denominator_is_unknown():
+    """(1/3 : 1) = (1 : 3) has no reduction mod 3; 5 and 7 certify it."""
+    verdict = S.is_stable(
+        F.bc1_V(Fraction(1, 3), 1), S.defect_weight(catalog_affine("BC1"))
+    )
+    assert verdict["per_field"][3] == {
+        "verdict": "unknown",
+        "reason": "denominator of 1/3 vanishes mod 3",
+    }
+    assert verdict["verdict"] is True
+
+
+def _check_sub_and_quotient(V, spans):
+    """``_subrep`` and ``_quotient_rep`` along generator-stable spans are
+    modules of dimensions dim S and dim V - dim S, and the inclusion by the
+    pivot rows and the projection onto the residue at the free positions
+    commute with every generator."""
+    sub, quo = R._subrep(V, spans), R._quotient_rep(V, spans)
+    assert R.validate(sub) == [] and R.validate(quo) == []
+    dims = [len(E.rows) for E in spans]
+    assert sub.dims == dims
+    assert quo.dims == [d - k for d, k in zip(V.dims, dims)]
+    incl, proj = [], []
+    for E, d in zip(spans, V.dims):
+        basis = E.basis(d)
+        incl.append(Mat(len(basis), d, [x for r in basis for x in r], V.p).transpose())
+        free = [j for j in range(d) if j not in E.rows]
+        residues = [E.reduce({j: 1}) for j in range(d)]
+        data = [res.get(f, 0) for f in free for res in residues]
+        proj.append(Mat(len(free), d, data, V.p))
+    for gid, g in enumerate(V.algebra.gens):
+        assert incl[g.tgt] * sub.mats[gid] == V.mats[gid] * incl[g.src]
+        assert proj[g.tgt] * V.mats[gid] == quo.mats[gid] * proj[g.src]
+    if V.p is None:
+        entries = [x for W in (sub, quo) for m in W.mats.values() for x in m.data]
+        assert all(type(x) is Fraction for x in entries)
+
+
+@given(st.one_of(path_algebra_modules(), bc1_modules()))
+@settings(max_examples=80, deadline=None)
+def test_sub_and_quotient_along_every_submodule(V):
+    for member in S.submodules(V).members:
+        _check_sub_and_quotient(V, [Echelon(V.p, rows) for rows in member])
+
+
+def test_subrep_refuses_a_span_that_is_not_generator_stable():
+    # the loop of E_0 sends the first coordinate vector to the second
+    V = R.generalized_simple(F.bc1_algebra(), 0, p=3)
+    with pytest.raises(ValueError, match="not generator-stable"):
+        R._subrep(V, [Echelon(3, [[1, 0, 0, 0]]), Echelon(3)])
+
+
+def test_sub_and_quotient_along_a_lifted_witness():
+    V = F.bc1_V(1, 0)
+    verdict = S.is_stable(V, S.defect_weight(catalog_affine("BC1")))
+    witness = verdict["per_field"][3]["witness"]
+    assert S._witness_lifts(V, witness, 3)
+    spans = [
+        Echelon(None, [[x - 3 if 2 * x > 3 else x for x in row] for row in rows])
+        for rows in witness["bases"]
+    ]
+    assert [len(E.rows) for E in spans] == witness["dims"]
+    _check_sub_and_quotient(V, spans)
 
 
 def test_exhaustive_sweep_identifies_the_boundary_module():
