@@ -3,8 +3,9 @@ named verification suites, with machine-readable reports.
 
 Reports go to stdout as canonical JSON (sorted keys, no trailing spaces) or
 as flattened tab-separated rows; progress logs go to stderr.  Exit codes:
-0 success / suite passed, 1 suite failed, 2 usage error, 3 certification
-failure of a randomized computation.
+0 success / suite passed, 1 suite failed, 2 usage error, 3 a decomposition
+failed its certificate (its cover summands do not fold back).  ``decompose``
+is exact; only ``verify`` takes a seed (``--seed`` or ``GLSW_SEED``).
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ def _parse_vector(text):
         raise argparse.ArgumentTypeError(f"vector must be a comma list (got {text!r})")
 
 
-def _add_seed(parser):
-    parser.add_argument("--seed", type=int, default=None, help="base random seed")
-
-
 def _add_format(parser):
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
 
@@ -65,12 +62,11 @@ def build_parser():
     dec.add_argument("family")
     dec.add_argument("rank", nargs="?", type=int, default=None)
     dec.add_argument("-v", "--vector", type=_parse_vector, required=True)
-    _add_seed(dec)
     _add_format(dec)
 
     ver = sub.add_parser("verify", help="run a named verification suite")
     ver.add_argument("suite")
-    _add_seed(ver)
+    ver.add_argument("--seed", type=int, default=None, help="base random seed")
     _add_format(ver)
     ver.add_argument(
         "--caps",
@@ -145,9 +141,8 @@ def cmd_decompose(args):
     if len(args.vector) != q.n:
         log.error("vector length %d does not match %d vertices", len(args.vector), q.n)
         return 2
-    seed = _resolve_seed(args)
     try:
-        rep = D.folded_decomposition(q, args.vector, seed=seed)
+        rep = D.folded_decomposition(q, args.vector)
     except ValueError as exc:
         log.error("%s", exc)
         return 2
@@ -157,7 +152,6 @@ def cmd_decompose(args):
             "command": "decompose",
             "certified": False,
             "error": str(exc),
-            "seed": seed,
         }
         _emit(report, args.format)
         return 3

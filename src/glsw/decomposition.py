@@ -1,124 +1,150 @@
-"""Canonical decomposition of rank vectors by certified generic sampling.
+"""Canonical decomposition of rank vectors, computed exactly on the cover.
 
 A nonnegative rank vector v over an affine valued quiver splits uniquely as
 v = m*eta + w with eta the null root and w the rank vector of a rigid module.
-The split is computed on the simply-laced cover: sample a generic
-representation of the cover over a large prime field, decompose it with the
-Krull-Schmidt engine, certify by Ext-vanishing and seed agreement, and fold
-the answer back.
+The split is computed on the simply-laced cover, a Euclidean quiver, from its
+root system alone: reflection functors peel off the preprojective and the
+preinjective summands, and the regular rest splits along the tubes.  The
+summands are then folded back along the fibers of the cover.  Only the
+module-level evidence samples: ``rigid_of_rank`` and
+``generic_decomposition_report`` draw modules and certify what they find.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+
 from glsw.algebra import cover_rotation, fold_class, gls_presentation, unfold, unfold_class
+from glsw.exact import Mat, solve
+from glsw.quivers import ValuedQuiver
 from glsw import reps as R
 
 GENERIC_PRIME = 101
 
 
 class CertificationError(RuntimeError):
-    """Raised when randomized decomposition evidence fails to certify."""
+    """Raised when a decomposition fails a check: cover summands that do not
+    fold back to the valued quiver, or randomized module evidence (rigid
+    samples, generic module profiles) that does not certify."""
 
 
-def _summand_profile(algebra, d, seed):
-    """Decompose a generic representation of dimension d; returns a sorted
-    list of (dimension vector, multiplicity)."""
-    V = R.random_locally_free(algebra, d, seed=seed, p=GENERIC_PRIME)
-    parts = R.krull_schmidt(V, seed=seed)
-    counts = {}
-    for part in parts:
-        counts[tuple(part.dims)] = counts.get(tuple(part.dims), 0) + 1
-    return sorted(counts.items()), parts
+def _peel(quiver, d, rounds, counts):
+    """Add the preprojective summands of the generic representation of
+    dimension d to ``counts``; returns the dimension vector left.
 
-
-def kac_decomposition_unfolded(cover, d, seed=0):
-    """Generic summand dimension vectors for the cover quiver.
-
-    Certified by (a) pairwise Ext-vanishing between the summands of the
-    sampled representation and (b) agreement of the profile under a second
-    seed.  Raises CertificationError (with the seeds) otherwise.
+    Reflects at each sink in turn, ``rounds`` times around a sinks-first
+    order.  At a sink x the generic map into x has maximal rank, so the
+    cokernel S_x^c splits off, c = max(0, d_x - sum of d_y over arrows
+    y -> x); the summand is S_x pulled back through the reflections made so
+    far.
     """
-    algebra = gls_presentation(cover)
-    if all(x == 0 for x in d):
-        return {"summands": [], "seeds": [seed], "prime": GENERIC_PRIME}
-    eta_bar = cover.null_root()
-    last_error = None
-    for round_ in range(2):
-        s0 = seed + 10_000 * round_
-        profile, parts = _summand_profile(algebra, list(d), s0)
-        profile2, _ = _summand_profile(algebra, list(d), s0 + 1)
-        profile = _normalize_profile(profile, eta_bar)
-        profile2 = _normalize_profile(profile2, eta_bar)
-        if profile != profile2:
-            last_error = f"profiles disagree between seeds {s0} and {s0 + 1}"
-            continue
-        # one presentation per summand serves every ordered pair
-        pres = [R.minimal_presentation(part) for part in parts]
-        ok = all(
-            P.ext1_dim(W) == 0
-            for i, P in enumerate(pres)
-            for j, W in enumerate(parts)
-            if i != j
-        )
-        if ok:
-            return {
-                "summands": [(list(t), k) for t, k in profile],
-                "seeds": [s0, s0 + 1],
-                "prime": GENERIC_PRIME,
-            }
-        last_error = f"summands of seed {s0} have extensions between them"
-    raise CertificationError(last_error)
+    nbrs = [[(y, nu) for y, nu, _ in quiver.neighbors(x)] for x in range(quiver.n)]
+    order = quiver.topological_order()
+    made = []
+    v, rest = list(d), list(d)
+    for _ in range(rounds):
+        if not any(rest):
+            break
+        for x in order:
+            # x is a sink of the reflected quiver: every neighbour maps into it
+            s = sum(nu * v[y] for y, nu in nbrs[x])
+            if v[x] > s:
+                c = v[x] - s
+                dims = quiver.simple_root(x)
+                for y in reversed(made):
+                    dims = quiver.reflect(y, dims)
+                counts[tuple(dims)] = counts.get(tuple(dims), 0) + c
+                rest = [a - c * b for a, b in zip(rest, dims)]
+                v[x] = s
+            v[x] = s - v[x]  # the reflection at x
+            made.append(x)
+    return rest
 
 
-def _normalize_profile(profile, eta_bar):
-    """Fold summands of dimension k*eta_bar into k copies of eta_bar.
+def _split_tube(quasi_simples, coeffs, counts):
+    """Add the summands of the generic module with the given quasi-simple
+    coefficients (minimum 0) in one tube to ``counts``.
 
-    Over a finite base field the homogeneous part of a generic module may
-    appear as one indecomposable per closed point of the parameter line, of
-    dimension (degree of the point) * eta_bar; the geometric decomposition
-    sees it as that many null-root summands.
+    Cut at a zero coefficient, the tube is an equioriented type A quiver:
+    the run of quasi-simples i..j (in tau-orbit order) is a summand
+    min(b_i..b_j) - max(b_{i-1}, b_{j+1}) times, when that is positive.
     """
+    t = len(coeffs)
+    z = coeffs.index(0)
+    b = coeffs[z:] + coeffs[:z] + [0]
+    for i in range(1, t):
+        low = b[i]
+        for j in range(i, t):
+            low = min(low, b[j])
+            mult = low - max(b[i - 1], b[j + 1])
+            if mult > 0:
+                run = [quasi_simples[(z + k) % t] for k in range(i, j + 1)]
+                dims = tuple(sum(col) for col in zip(*run))
+                counts[dims] = counts.get(dims, 0) + mult
+
+
+@functools.lru_cache(maxsize=32)
+def _root_data(n, edges, c):
+    """Null root, tubes and lcm of the tube ranks of a Euclidean quiver,
+    cached by its structure: ``unfold`` builds a new cover on every call."""
+    quiver = ValuedQuiver(n, edges, c)
+    tubes = quiver.tubes()["tubes"]
+    return quiver.null_root(), tubes, math.lcm(*(tube["rank"] for tube in tubes))
+
+
+def kac_decomposition_unfolded(cover, d):
+    """The canonical decomposition of d on the cover, a Euclidean quiver:
+    ``{"summands": [(dimension vector, multiplicity), ...]}`` sorted by
+    dimension vector, with k*eta_bar counted as k copies of eta_bar.
+
+    ``_peel`` finds the preprojective summands, and on the opposite quiver
+    the preinjective ones.  With h the lcm of the tube ranks, Phi^h - id is
+    a nonzero multiple of the defect times eta_bar, so a preprojective of
+    dimension at most |d| appears within h * (|d| // |eta_bar| + 1) rounds.
+    The regular rest is k*eta_bar plus quasi-simples of each tube, their
+    coefficients shifted to minimum 0.
+    """
+    eta_bar, tubes, h = _root_data(cover.n, tuple(cover.edges), cover.c)
+    rounds = h * (sum(d) // sum(eta_bar) + 1)
     counts = {}
-    for dv, mult in profile:
-        k = _is_multiple(dv, eta_bar)
-        if k:
-            key = tuple(eta_bar)
-            counts[key] = counts.get(key, 0) + k * mult
-        else:
-            counts[tuple(dv)] = counts.get(tuple(dv), 0) + mult
-    return sorted(counts.items())
+    rest = _peel(cover, d, rounds, counts)
+    rest = _peel(cover.opposite(), rest, rounds, counts)
+    columns = [eta_bar] + [q for tube in tubes for q in tube["quasi_simples"]]
+    X = solve(Mat.from_rows(list(zip(*columns))), Mat.from_rows([[x] for x in rest]))
+    if X is None or any(x.denominator != 1 for x in X.data):
+        raise CertificationError(f"regular part {rest} of {list(d)} is not integral")
+    k, *coeffs = map(int, X.data)
+    for tube in tubes:
+        a, coeffs = coeffs[: tube["rank"]], coeffs[tube["rank"] :]
+        k += min(a)
+        _split_tube(tube["quasi_simples"], [x - min(a) for x in a], counts)
+    if k < 0:
+        raise CertificationError(f"regular part {rest} of {list(d)} is not generic")
+    if k:
+        counts[tuple(eta_bar)] = k
+    return {"summands": [(list(dv), mult) for dv, mult in sorted(counts.items())]}
 
 
 def _is_multiple(v, base):
     """Return k if v == k * base for a positive integer k, else 0."""
-    pairs = [(a, b) for a, b in zip(v, base)]
-    k = None
-    for a, b in pairs:
-        if b == 0:
-            if a != 0:
-                return 0
-            continue
-        if a % b:
-            return 0
-        q = a // b
-        if k is None:
-            k = q
-        elif k != q:
-            return 0
-    return k or 0
+    j = next((i for i, b in enumerate(base) if b), None)
+    k = 0 if j is None else v[j] // base[j]
+    return k if k > 0 and list(v) == [k * b for b in base] else 0
 
 
-def folded_decomposition(quiver, v, seed=0):
-    """Split v = m*eta + w and certify via the cover; returns a report dict."""
+def folded_decomposition(quiver, v):
+    """Split v = m*eta + w via the cover; returns a report dict."""
     if any(x < 0 for x in v):
         raise ValueError("rank vector must be nonnegative")
     cover, vertex_list = unfold(quiver)
     eta = quiver.null_root()
     vbar = unfold_class(quiver, v, vertex_list)
-    unfolded = kac_decomposition_unfolded(cover, vbar, seed=seed)
+    unfolded = kac_decomposition_unfolded(cover, vbar)
     rho = cover_rotation(quiver, vertex_list)
     remaining = {tuple(dv): mult for dv, mult in unfolded["summands"]}
-    # _normalize_profile turned every k*eta_bar into k copies of eta_bar
+    # kac_decomposition_unfolded counts k*eta_bar as k copies of eta_bar
     m = remaining.pop(tuple(cover.null_root()), 0)
     certified = []
     # group the non-null summands into rotation orbits: the multiset is
@@ -159,8 +185,6 @@ def folded_decomposition(quiver, v, seed=0):
             {"class": folded, "multiplicity": mult} for folded, mult in certified
         ],
         "unfolded": unfolded,
-        "seeds": unfolded["seeds"],
-        "prime": GENERIC_PRIME,
     }
 
 
@@ -172,20 +196,11 @@ def rigid_of_rank(quiver, w, seed=0):
     isomorphic.
     """
     algebra = gls_presentation(quiver)
-    found = []
-    tried = []
-    for k in range(6):
-        s = seed + 100 * k
-        tried.append(s)
-        V = R.random_locally_free(algebra, w, seed=s)
-        if R.ext1_dim(V, V) == 0:
-            found.append(V)
-            if len(found) == 2:
-                break
+    seeds = [seed + 100 * k for k in range(6)]
+    samples = (R.random_locally_free(algebra, w, seed=s) for s in seeds)
+    found = list(itertools.islice((V for V in samples if R.ext1_dim(V, V) == 0), 2))
     if len(found) < 2:
-        raise CertificationError(
-            f"no rigid sample of rank {list(w)} after seeds {tried}"
-        )
+        raise CertificationError(f"no rigid sample of rank {list(w)} after seeds {seeds}")
     verdict, detail = R.is_isomorphic(found[0], found[1], seed=seed)
     if not verdict:
         raise CertificationError(
@@ -198,7 +213,7 @@ def generic_decomposition_report(quiver, v, seed=0):
     """Decompose a generic locally free module of rank v and compare with the
     arithmetic split v = m*eta + w."""
     algebra = gls_presentation(quiver)
-    base = folded_decomposition(quiver, v, seed=seed)
+    base = folded_decomposition(quiver, v)
     eta = base["null_root"]
     report = dict(base)
     for attempt in range(2):
@@ -223,9 +238,7 @@ def generic_decomposition_report(quiver, v, seed=0):
                 # a degree-k closed point carries a degree-k endomorphism field
                 if entry["end"] != k:
                     ok = False  # degenerate parameter; retry resolves
-        if eta_count != base["m"]:
-            ok = False
-        if ok:
+        if ok and eta_count == base["m"]:
             report["module_evidence"] = {
                 "seed": s,
                 "prime": GENERIC_PRIME,

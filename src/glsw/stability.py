@@ -12,11 +12,13 @@ preinjective parts; a module of defect-weight zero is semistable when no
 submodule has positive weight.  Rational-entry modules are reduced modulo
 several small primes: one prime without a destabilizing submodule certifies
 the module, a negative verdict needs a witness that lifts back to the
-rationals, and anything else is ``unknown``.
+rationals (on its own, or combined across primes by rational
+reconstruction), and anything else is ``unknown``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from glsw.algebra import gls_presentation
@@ -215,8 +217,10 @@ def _stability_verdict(V, theta, config, strict):
     reduction is a destabilizing F_p-submodule of the same dimension vector
     at every prime; so one prime that finds none certifies ``True``.  A
     ``False`` over Q needs a nonzero weight or an F_p witness that lifts to
-    a Q-submodule; otherwise (a prime may reduce a stable module to a
-    degenerate one) the verdict is ``unknown``.  A prime that divides a
+    a Q-submodule, on its own (integers in (-p/2, p/2]) or rationally
+    reconstructed with the witnesses of the same pivots at other primes;
+    otherwise (a prime may reduce a stable module to a degenerate one) the
+    verdict is ``unknown``.  A prime that divides a
     denominator of V has no reduction: its entry in ``per_field`` is
     ``unknown`` with the reason, and the other primes decide."""
     cfg = dict(DEFAULT_CONFIG, **(config or {}))
@@ -236,9 +240,13 @@ def _stability_verdict(V, theta, config, strict):
     verdicts = [res["verdict"] for res in results.values()]
     if any(v is True for v in verdicts):
         verdict = True
-    elif theta.value(V.dims) != 0 or any(
-        "witness" in res and _witness_lifts(V, res["witness"], p)
-        for p, res in results.items()
+    elif (
+        theta.value(V.dims) != 0
+        or any(
+            "witness" in res and _witness_lifts(V, res["witness"], p)
+            for p, res in results.items()
+        )
+        or _reconstructed_witness_lifts(V, results)
     ):
         verdict = False
     elif all(v == "unknown (cap)" for v in verdicts):
@@ -266,6 +274,50 @@ def _witness_lifts(V, witness, p):
     except ValueError:
         return False
     return True
+
+
+def _rational_lift(residues):
+    """The rational n/d with |n|, d <= sqrt(M/2) that reduces to r mod p for
+    each pair (p, r), M the product of the primes: CRT, then Wang's rational
+    reconstruction.  It is unique when it exists; ValueError otherwise."""
+    M = math.prod(p for p, _ in residues)
+    u = sum(r * (M // p) * pow(M // p, -1, p) for p, r in residues) % M
+    bound = math.isqrt(M // 2)
+    r0, r1, t0, t1 = M, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        raise ValueError(f"{u} mod {M} has no small rational lift")
+    return Fraction(r1, t1)
+
+
+def _reconstructed_witness_lifts(V, results):
+    """Whether the witnesses of primes that share their pivot columns, read
+    as reductions of one rational submodule, lift entry by entry with
+    ``_rational_lift`` to a subrepresentation of the rational module V."""
+    groups = {}
+    for p, res in results.items():
+        if "witness" in res:
+            bases = res["witness"]["bases"]
+            # a row of a reduced row echelon basis leads with its first 1
+            pivots = tuple(tuple(row.index(1) for row in rows) for rows in bases)
+            groups.setdefault(pivots, []).append((p, bases))
+    for group in groups.values():
+        primes = [p for p, _ in group]
+        try:
+            spans = [
+                Echelon(None, [
+                    [_rational_lift(list(zip(primes, entries))) for entries in zip(*rows)]
+                    for rows in zip(*vertex)  # one row per prime
+                ])
+                for vertex in zip(*(bases for _, bases in group))
+            ]
+            R._subrep(V, spans)
+        except ValueError:
+            continue
+        return True
+    return False
 
 
 def regular_tau_rigid_check(quiver, v, seed=0, config=None):

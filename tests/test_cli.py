@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
 from glsw import cli
-from glsw.suites import SUITES, split_seed
+from glsw.quivers import catalog_affine
+from glsw.suites import CATALOG_REPRESENTATIVES, SUITES, split_seed
 
 
 def run(capsys, *argv):
@@ -88,13 +90,30 @@ def test_verify_stability_under_a_small_dimension_cap_reports(capsys):
 
 
 def test_decompose_oracle(capsys):
-    code, out = run(capsys, "decompose", "BC1", "-v", "2,4", "--seed", "5")
+    code, out = run(capsys, "decompose", "BC1", "-v", "2,4")
     assert code == 0
     report = json.loads(out)
     assert report["certified"]
     assert report["m"] == 2
     assert report["w"] == [0, 0]
-    assert report["seeds"]  # randomized conclusions carry their seeds
+    assert "seeds" not in report  # the decomposition is exact
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decompose", "BC1", "-v", "2,4", "--seed", "5"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "family, rank", CATALOG_REPRESENTATIVES, ids=[f"{f}{r or ''}" for f, r in CATALOG_REPRESENTATIVES]
+)
+def test_decompose_every_catalog_family(capsys, family, rank):
+    q = catalog_affine(family, rank)
+    rng = random.Random(f"decompose:{family}:{rank}")
+    v = [rng.randrange(0, 5) for _ in range(q.n)]
+    argv = ["decompose", family] + ([str(rank)] if rank else []) + ["-v", ",".join(map(str, v))]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["w"] == [a - report["m"] * e for a, e in zip(v, q.null_root())]
 
 
 def test_decompose_vector_length_checked(capsys):

@@ -324,6 +324,30 @@ def test_uncertified_rational_instability_is_unknown():
     assert verdict["verdict"] == "unknown"
 
 
+def test_witnesses_across_primes_reconstruct_a_rational_submodule():
+    """After a base change at vertex 1 the destabilizing line is (1, -1/2):
+    its witnesses (1, 1), (1, 2), (1, 3) mod 3, 5, 7 lift to no integer
+    row on their own, but CRT and rational reconstruction recover it."""
+    V = F.bc1_V(1, 0)
+    B = Mat.from_rows([[1, 2], [0, 1]])
+    W = R.Rep(V.algebra, V.dims, {0: V.mats[0] * B, 1: V.mats[1]})
+    verdict = S.is_stable(W, S.defect_weight(catalog_affine("BC1")))
+    assert [verdict["per_field"][p]["witness"]["bases"][1] for p in (3, 5, 7)] == [
+        [[1, 1]], [[1, 2]], [[1, 3]]
+    ]
+    assert not any(
+        S._witness_lifts(W, verdict["per_field"][p]["witness"], p) for p in (3, 5, 7)
+    )
+    assert verdict["verdict"] is False
+
+
+def test_rational_lift():
+    assert S._rational_lift([(3, 1), (5, 2), (7, 3)]) == Fraction(-1, 2)
+    assert S._rational_lift([(3, 2)]) == -1
+    with pytest.raises(ValueError):
+        S._rational_lift([(5, 2)])  # 2 = 1/3 mod 5: too large for sqrt(5/2)
+
+
 def test_prime_dividing_a_denominator_is_unknown():
     """(1/3 : 1) = (1 : 3) has no reduction mod 3; 5 and 7 certify it."""
     verdict = S.is_stable(
