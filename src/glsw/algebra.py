@@ -13,6 +13,7 @@ at vertex i.  Left multiplication by a generator appends to the word.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from glsw.exact import Echelon, _field
@@ -210,9 +211,6 @@ class BoundQuiverAlgebra:
         }
 
 
-_GLS_CACHE = {}
-
-
 def gls_presentation(quiver: ValuedQuiver) -> BoundQuiverAlgebra:
     """The modulated algebra of a valued quiver as a bound quiver algebra.
 
@@ -221,13 +219,15 @@ def gls_presentation(quiver: ValuedQuiver) -> BoundQuiverAlgebra:
     copies, each commuting with the loops via
     loop_t^(v_out/g) * arrow = arrow * loop_s^(v_in/g).
     """
+    return _gls_algebra(quiver.n, tuple(quiver.edges), tuple(quiver.c))
+
+
+@functools.lru_cache(maxsize=32)
+def _gls_algebra(n, edges, c):
+    """``gls_presentation`` cached by the structure of the quiver."""
     import math
 
-    cache_key = (quiver.n, tuple(quiver.edges), tuple(quiver.c))
-    cached = _GLS_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-
+    quiver = ValuedQuiver(n, edges, c)
     gens = []
     loop_of = {}
     order = 0
@@ -262,7 +262,6 @@ def gls_presentation(quiver: ValuedQuiver) -> BoundQuiverAlgebra:
             relations.append(rel)
     out = BoundQuiverAlgebra(quiver.n, gens, relations)
     out.quiver = quiver
-    _GLS_CACHE[cache_key] = out
     return out
 
 

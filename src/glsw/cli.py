@@ -5,7 +5,8 @@ Reports go to stdout as canonical JSON (sorted keys, no trailing spaces) or
 as flattened tab-separated rows; progress logs go to stderr.  Exit codes:
 0 success / suite passed, 1 suite failed, 2 usage error, 3 a decomposition
 failed its certificate (its cover summands do not fold back).  ``decompose``
-is exact; only ``verify`` takes a seed (``--seed`` or ``GLSW_SEED``).
+is exact; only ``verify`` takes a seed (``--seed``, default 0), and only
+``verify stability`` takes ``--caps``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 
 from glsw.quivers import catalog_affine
@@ -66,27 +66,15 @@ def build_parser():
 
     ver = sub.add_parser("verify", help="run a named verification suite")
     ver.add_argument("suite")
-    ver.add_argument("--seed", type=int, default=None, help="base random seed")
+    ver.add_argument("--seed", type=int, default=0, help="base random seed")
     _add_format(ver)
     ver.add_argument(
         "--caps",
         type=_parse_caps,
         default={},
-        help="submodule search caps, e.g. dim=8,enum=1000000 (defaults per suite config)",
+        help="submodule search caps of the stability suite, e.g. dim=8,enum=1000000",
     )
     return parser
-
-
-def _resolve_seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("GLSW_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            log.warning("ignoring non-integer GLSW_SEED=%r", env)
-    return 0
 
 
 def _flatten(obj, prefix=""):
@@ -177,7 +165,7 @@ def cmd_verify(args):
         return 2
     # caps not given keep the defaults of stability.DEFAULT_CONFIG
     config = {f"{key}_cap": value for key, value in args.caps.items()}
-    config["seed"] = _resolve_seed(args)
+    config["seed"] = args.seed
     report = suites.run_suite(args.suite, config)
     report["schema"] = SCHEMA_VERSION
     report["command"] = "verify"
@@ -189,6 +177,8 @@ def main(argv=None):
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.caps and args.suite != "stability":
+        parser.error("--caps is read only by the stability suite")
     if args.command == "catalog":
         return cmd_catalog(args)
     if args.command == "decompose":

@@ -270,12 +270,6 @@ class Mat:
             data.extend(other.row(i))
         return Mat(self.rows, self.cols + other.cols, data, self.p)
 
-    def vstack(self, other):
-        self._same_field(other)
-        if self.cols != other.cols:
-            raise ValueError("column mismatch")
-        return Mat(self.rows + other.rows, self.cols, self.data + other.data, self.p)
-
     def is_zero(self):
         return all(x == 0 for x in self.data)
 

@@ -304,13 +304,13 @@ class ValuedQuiver:
             period = period * len(orbit) // math.gcd(period, len(orbit))
 
         def leq_phi(a, b):
-            x, y = list(a), list(b)
-            for _ in range(period):
-                if any(p > q for p, q in zip(x, y)):
-                    return False
-                x = self.coxeter_apply(x, phi)
-                y = self.coxeter_apply(y, phi)
-            return True
+            # Phi^k a <= Phi^k b for every k, read off the traced orbits
+            x, y = orbits_of[a], orbits_of[b]
+            return all(
+                p <= q
+                for k in range(period)
+                for p, q in zip(x[k % len(x)], y[k % len(y)])
+            )
 
         quasi = [
             v

@@ -53,8 +53,10 @@ class Rep:
     def path_matrix(self, path):
         """Matrix of a basis path acting V(source) -> V(target)."""
         src, gens = path
-        m = Mat.identity(self.dims[src], self.p)
-        for gid in gens:
+        if not gens:
+            return Mat.identity(self.dims[src], self.p)
+        m = self.mats[gens[0]]
+        for gid in gens[1:]:
             m = self.mats[gid] * m
         return m
 
@@ -306,9 +308,25 @@ class Presentation:
             g[a] -= 1
         return g
 
+    def hom_matrix(self, W):
+        """The matrix of Hom(psi, W): Hom(P0, W) -> Hom(P1, W), with rows over
+        the W(a_r), columns over the W(b_s) and block (r, s) the action of
+        psi[r][s] on W, since Hom(P_i, W) = W(i)."""
+        data = []
+        for a, row in zip(self.proj1, self.psi):
+            blocks = [
+                W.element_matrix(entry) if entry else Mat.zero(W.dims[a], W.dims[b], W.p)
+                for b, entry in zip(self.proj0, row)
+            ]
+            for i in range(W.dims[a]):
+                for m in blocks:
+                    data += m.row(i)
+        rows = sum(W.dims[a] for a in self.proj1)
+        return Mat(rows, sum(W.dims[b] for b in self.proj0), data, W.p)
+
     def ext1_dim(self, W):
         """dim Ext^1(V, W) for the presented V, as the dimension of the
-        cokernel of Hom(psi, W): Hom(P0, W) -> Hom(P1, W).
+        cokernel of ``hom_matrix(W)``.
 
         That cokernel is Ext^1(V, W) only when V has projective dimension at
         most 1 (as locally free modules do), so ``ValueError`` is raised when
@@ -318,20 +336,8 @@ class Presentation:
                 "presented module has projective dimension above 1; "
                 "the cokernel of Hom(psi, W) is not Ext^1"
             )
-        if not self.proj1:
-            return 0
-        blocks = []
-        for r, a in enumerate(self.proj1):
-            row = []
-            for s, b in enumerate(self.proj0):
-                entry = self.psi[r][s]
-                if entry:
-                    row.append(W.element_matrix(entry))
-                else:
-                    row.append(Mat.zero(W.dims[a], W.dims[b], W.p))
-            blocks.append(row)
-        M = _block_matrix(blocks, W.p)
-        return sum(W.dims[a] for a in self.proj1) - rank(M)
+        M = self.hom_matrix(W)
+        return M.rows - rank(M)
 
 
 def _top_generators(V):
@@ -492,19 +498,6 @@ def ext1_dim(V, W, method="presentation"):
     return minimal_presentation(V).ext1_dim(W)
 
 
-def _block_matrix(blocks, p):
-    row_mats = []
-    for row in blocks:
-        m = row[0]
-        for other in row[1:]:
-            m = m.hstack(other)
-        row_mats.append(m)
-    m = row_mats[0]
-    for other in row_mats[1:]:
-        m = m.vstack(other)
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Auslander-Reiten translation via transpose-dual
 
@@ -533,36 +526,20 @@ def _right_projective_rep(algebra, opposite, a, p):
 
 
 def _transpose_module(algebra, opposite, pres, p):
-    """Cokernel of the transposed presentation map, as a left module over the
-    opposite algebra."""
+    """Tr V, the cokernel of Hom(psi, H) between right modules, as a left
+    module over the opposite algebra.
+
+    Its vertex-v space is the cokernel of Hom(psi, P_v), because e_a H e_v is
+    the vertex-a space of the left projective P_v, in the same path basis as
+    the vertex-v space of the right projective e_a H."""
     parts = [
         _right_projective_rep(algebra, opposite, a, p) for a in pres.proj1
     ]
     amb = direct_sum(zero_rep(opposite, p), *parts)
-    # image generators: for each copy s of P0 and each basis path x ending at
-    # b_s, the column of products (psi[r][s] * x)_r
-    spans = [Echelon(p) for _ in range(opposite.n)]
-    for v in range(algebra.n):
-        # offset and path index of each summand's block at vertex v
-        blocks = []
-        pos = 0
-        for a in pres.proj1:
-            paths_va = algebra.corner_basis(v, a)
-            blocks.append((pos, {q: k for k, q in enumerate(paths_va)}))
-            pos += len(paths_va)
-        for s, b in enumerate(pres.proj0):
-            for x in algebra.corner_basis(v, b):
-                vec = [0] * amb.dims[v]
-                for r, (pos, idx) in enumerate(blocks):
-                    entry = pres.psi[r][s]
-                    if entry:
-                        prod = algebra.multiply(
-                            {pp: Fraction(c) for pp, c in entry.items()},
-                            {x: Fraction(1)},
-                        )
-                        for q, c in prod.items():
-                            vec[pos + idx[q]] += c
-                spans[v].insert(vec)
+    spans = [
+        Echelon(p, pres.hom_matrix(projective(algebra, v, p)).transpose().rowlist())
+        for v in range(algebra.n)
+    ]
     return _quotient_rep(amb, spans)
 
 

@@ -59,6 +59,7 @@ def test_removed_primes_flag_is_usage_error(capsys):
         ("catalog", "BC1", "--caps", "dim=3"),
         ("catalog", "BC1", "--seed", "1"),
         ("decompose", "BC1", "-v", "2,4", "--caps", "dim=3"),
+        ("verify", "catalog", "--caps", "dim=3"),
     ],
 )
 def test_flags_a_command_does_not_read_are_usage_errors(argv):
@@ -132,10 +133,11 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert report["checks"]
 
 
-def test_env_seed_fallback(capsys, monkeypatch):
+def test_seed_defaults_to_zero(capsys, monkeypatch):
+    # --seed is the one way to set the seed; the environment is not read
     monkeypatch.setenv("GLSW_SEED", "41")
     _, out = run(capsys, "verify", "null-family")
-    assert json.loads(out)["seed"] == 41
+    assert json.loads(out)["seed"] == 0
 
 
 def test_tsv_output(capsys):

@@ -1,8 +1,11 @@
+import math
 import random
 
 import pytest
 
+from glsw.algebra import unfold
 from glsw.quivers import CATALOG_FAMILIES, ValuedQuiver, catalog_affine
+from glsw.suites import CATALOG_REPRESENTATIVES
 
 REPRESENTATIVE = [
     ("A1", None),
@@ -187,6 +190,46 @@ def test_tube_quasi_simples_are_regular_roots():
                 w = tuple(q.coxeter_apply(list(w), phi))
             assert len(seen) == tube["rank"]
             assert set(seen) == set(orbit)
+
+
+def _reference_quasi_simples(q):
+    """The minimal regular roots of the 3*eta box under a <=_Phi b, meaning
+    Phi^k a <= Phi^k b for every k up to the lcm of the orbit lengths, with
+    each Phi^k computed by applying the Coxeter matrix again."""
+    eta = q.null_root()
+    cap = 3 * sum(ci * ei for ci, ei in zip(q.c, eta))
+    regular = [
+        v
+        for v in q.positive_real_roots_bounded(cap)
+        if q.ringel_form(eta, list(v)) == 0 and all(a <= 3 * e for a, e in zip(v, eta))
+    ]
+    phi = q.coxeter_transformation()
+    period = 1
+    for v in regular:
+        length, w = 1, tuple(q.coxeter_apply(list(v), phi))
+        while w != v:
+            length, w = length + 1, tuple(q.coxeter_apply(list(w), phi))
+        period = math.lcm(period, length)
+
+    def leq_phi(a, b):
+        x, y = list(a), list(b)
+        for _ in range(period):
+            if any(p > q for p, q in zip(x, y)):
+                return False
+            x = q.coxeter_apply(x, phi)
+            y = q.coxeter_apply(y, phi)
+        return True
+
+    return {v for v in regular if not any(w != v and leq_phi(w, v) for w in regular)}
+
+
+@pytest.mark.parametrize("fam, rank", CATALOG_REPRESENTATIVES)
+def test_tubes_match_the_coxeter_order_recomputed(fam, rank):
+    """``tubes`` compares the traced orbits; the reference reapplies Phi."""
+    q = catalog_affine(fam, rank)
+    for quiver in (q, unfold(q)[0]):
+        found = {v for tube in quiver.tubes()["tubes"] for v in tube["quasi_simples"]}
+        assert found == _reference_quasi_simples(quiver)
 
 
 def test_tubes_bc1_empty_but_flagged():

@@ -300,6 +300,32 @@ def test_g_vector_pairing_identity():
 # -- Auslander-Reiten translation --------------------------------------------
 
 
+@pytest.mark.parametrize("p", [None, 7])
+def test_auslander_reiten_formula(p):
+    """dim Ext^1(V, W) = dim Hom(W, tau V) and dim Ext^1(W, V) =
+    dim Hom(tau^- V, W) for locally free V and W, whose projective and
+    injective dimensions are at most 1.  ``ext1_dim`` reads the corank of
+    ``Presentation.hom_matrix(W)``, and the transpose inside ``ar_translate``
+    and ``ar_inverse`` the cokernels of ``hom_matrix`` on projectives."""
+    rng = random.Random(11)
+    nonzero = 0
+    for fam, rank in [("BC1", None), ("C", 2)]:
+        A = algebra(fam, rank)
+        for t in range(8):
+            V, W = (
+                R.random_locally_free(
+                    A, [rng.randrange(1, 3) for _ in range(A.n)], seed=seed, p=p
+                )
+                for seed in (t, 50 + t)
+            )
+            e = R.ext1_dim(V, W)
+            assert e == R.hom_dim(W, R.ar_translate(V))
+            e_op = R.ext1_dim(W, V)
+            assert e_op == R.hom_dim(R.ar_inverse(V), W)
+            nonzero += (e > 0) + (e_op > 0)
+    assert nonzero >= 4
+
+
 def test_translate_kills_projectives_and_inverse_kills_injectives():
     for fam, rank in [("BC1", None), ("C", 2)]:
         A = algebra(fam, rank)
