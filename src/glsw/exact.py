@@ -240,7 +240,11 @@ class Mat:
     def matvec(self, v):
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        return _field(self.p).reduce(
+        F = _field(self.p)
+        if not self.cols:
+            # an empty sum is the int 0, which is not an element of Q here
+            return [F.zero] * self.rows
+        return F.reduce(
             [sum(map(operator.mul, self.row(i), v)) for i in range(self.rows)]
         )
 
@@ -423,15 +427,20 @@ def _kernel_vectors(reduced, ncols, F):
     """One vector per free column over the field F from the reduced echelon
     rows, given as pivot column -> (column, entry) pairs; first nonzero
     coordinate 1."""
-    basis = {f: [F.zero] * ncols for f in range(ncols) if f not in reduced}
-    for f, v in basis.items():
-        v[f] = F.one
+    basis = {f: {f: F.one} for f in range(ncols) if f not in reduced}
     for c, items in reduced.items():
         for j, x in items:
             if x and j != c:
                 basis[j][c] = -x
-    # the free column's 1 is nonzero, so every vector has a leading entry
-    return [F.scale(v, F.inv(next(x for x in v if x))) for v in basis.values()]
+    out = []
+    for v in basis.values():
+        # the free column's 1 is nonzero, so every vector has a leading
+        # entry; scaling also reduces the -x into [0, p) over F_p
+        dense = [F.zero] * ncols
+        for j, x in zip(v, F.scale(v.values(), F.inv(v[min(v)]))):
+            dense[j] = x
+        out.append(dense)
+    return out
 
 
 # ---------------------------------------------------------------------------

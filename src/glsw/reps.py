@@ -65,11 +65,14 @@ class Rep:
         paths = list(elem)
         src = paths[0][0]
         tgt = self.algebra.path_target(paths[0])
-        out = Mat.zero(self.dims[tgt], self.dims[src], self.p)
+        out = None
         for path, coef in elem.items():
             if path[0] != src or self.algebra.path_target(path) != tgt:
                 raise ValueError("element is not supported on a single corner")
-            out = out + self.path_matrix(path).scale(coef)
+            m = self.path_matrix(path)
+            if coef != 1:
+                m = m.scale(coef)
+            out = m if out is None else out + m
         return out
 
 
@@ -408,25 +411,44 @@ def _kernel_top(V, proj0, cover):
     K / rad K for K = ker(P0 -> V).
 
     rad K(v) is spanned by the images P0(g)k of the kernel vectors k at the
-    source of each generator g ending at v.  Inserting the kernel basis from
-    its last vector back keeps exactly the vectors whose index lies outside
-    the pivots of rad K in kernel coordinates."""
+    source of each generator g ending at v.  Each column of P0(g) has at most
+    a few nonzeros (a basis path times g is one basis path, zero, or a short
+    combination under a relation), so the blocks P_b(g) are read once as
+    column -> (row, coefficient) lists and each image is built as a sparse
+    ``{row: entry}`` dict from the nonzeros of k.  Inserting the kernel basis
+    from its last vector back keeps exactly the vectors whose index lies
+    outside the pivots of rad K in kernel coordinates."""
     A = V.algebra
     projs = {b: projective(A, b, V.p) for b in set(proj0)}
-    kbasis = [kernel_basis(M) for M in cover]
+    kbasis = [
+        sparse_kernel_basis(
+            [{j: x for j, x in enumerate(M.row(i)) if x} for i in range(M.rows)],
+            M.cols,
+            V.p,
+        )
+        for M in cover
+    ]
     out = []
     for v in range(A.n):
         span = Echelon(V.p)
         for gid, g in enumerate(A.gens):
             if g.tgt != v:
                 continue
-            blocks = [projs[b].mats[gid] for b in proj0]
+            cols = []  # column of P0(g) -> its (row, coefficient) pairs
+            off = 0
+            for b in proj0:
+                m = projs[b].mats[gid]
+                cols += [
+                    [(off + i, x) for i, x in enumerate(m.data[j :: m.cols]) if x]
+                    for j in range(m.cols)
+                ]
+                off += m.rows
             for k in kbasis[g.src]:
-                img = []
-                pos = 0
-                for m in blocks:
-                    img += m.matvec(k[pos : pos + m.cols])
-                    pos += m.cols
+                img = {}
+                for x, col in zip(k, cols):
+                    if x:
+                        for i, y in col:
+                            img[i] = img.get(i, 0) + x * y
                 span.insert(img)
         kept = [k for k in reversed(kbasis[v]) if span.insert(k)]
         out.extend((v, k) for k in reversed(kept))

@@ -64,6 +64,13 @@ def test_solve_consistent():
     assert m.matvec(x.data) == [Fraction(5), Fraction(11)]
 
 
+@pytest.mark.parametrize("p", [None, 7])
+def test_matvec_of_a_zero_column_matrix_is_a_field_zero(p):
+    out = Mat.zero(3, 0, p).matvec([])
+    assert out == [0, 0, 0]
+    assert all(type(x) is type(_field(p).zero) for x in out)
+
+
 def test_solve_inconsistent():
     m = Mat.from_rows([[1, 2], [2, 4]])
     assert solve(m, Mat.from_rows([[1], [3]])) is None
@@ -268,9 +275,11 @@ def test_echelon_is_the_reduced_basis_in_any_insertion_order(data):
     assert bases[0] == bases[1]
     # spans agree: the kernel of the rows is the kernel of the basis
     sparse = [dict(enumerate(r)) for r in rows]
-    assert sparse_kernel_basis(sparse, ncols, p) == sparse_kernel_basis(
+    kernel = sparse_kernel_basis(sparse, ncols, p)
+    assert kernel == sparse_kernel_basis(
         [dict(enumerate(r)) for r in bases[0]], ncols, p
     )
+    _assert_normalized_kernel(kernel, sparse, ncols, p)
     if p is not None:
         a = [F.coerce(x) for r in rows for x in r]
         pivots = fpkernel.rref(a, len(rows), ncols, p)
@@ -375,14 +384,32 @@ def sparse_rows(draw):
     return rows, ncols, p
 
 
+def _assert_normalized_kernel(kernel, rows, ncols, p):
+    """Every vector has ncols entries of the field (a Fraction over Q, an int
+    in [0, p) over F_p), first nonzero entry 1, and is killed by every row."""
+    F = _field(p)
+    for v in kernel:
+        assert len(v) == ncols
+        if p is None:
+            assert all(type(x) is Fraction for x in v)
+        else:
+            assert all(type(x) is int and 0 <= x < p for x in v)
+        assert next(x for x in v if x) == 1
+        for r in rows:
+            assert F.coerce(sum(F.coerce(x) * v[j] for j, x in r.items())) == 0
+
+
 @given(sparse_rows())
 @settings(max_examples=300, deadline=None)
 def test_sparse_kernel_basis_matches_dense(case):
     rows, ncols, p = case
     dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
     M = Mat.from_rows(dense, p) if rows else Mat.zero(0, ncols, p)
+    kernel = sparse_kernel_basis(rows, ncols, p)
     # repr also compares entry types: Fraction over Q, int over F_p
-    assert repr(sparse_kernel_basis(rows, ncols, p)) == repr(kernel_basis(M))
+    assert repr(kernel) == repr(kernel_basis(M))
+    # both share _kernel_vectors, so check its normalization on its own
+    _assert_normalized_kernel(kernel, rows, ncols, p)
 
 
 def test_sparse_kernel_basis_leaves_its_rows_alone():

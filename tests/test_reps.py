@@ -203,9 +203,15 @@ def test_presentation_g_additive_on_sums():
     assert gs == [a + b for a, b in zip(R.g_vector(V), R.g_vector(W))]
 
 
+def _extending(fam, rank=None):
+    return extending_algebra(catalog_affine(fam, rank).extending_data()).algebra
+
+
 def _presented_modules(p):
     """BC1 projectives, injectives and tau^- of projectives, a C2 locally free
-    module and a module over the cover of BC1."""
+    module, a module over the cover of BC1, and locally free modules over the
+    "triple" extending algebra of G21, whose projectives have columns with
+    two nonzeros."""
     A = algebra("BC1")
     cover, _ = unfold(catalog_affine("BC1"))
     mods = [R.projective(A, i, p) for i in range(A.n)]
@@ -215,6 +221,8 @@ def _presented_modules(p):
     mods.append(
         R.random_locally_free(gls_presentation(cover), cover.null_root(), seed=5, p=p)
     )
+    triple = _extending("G21")
+    mods += [R.random_locally_free(triple, r, seed=3, p=p) for r in ([1, 1], [2, 1])]
     return mods
 
 
@@ -281,6 +289,55 @@ def test_minimal_presentation_is_minimal(p):
         top_K = [len(k) - r for k, r in zip(kernel, _span_rank(P0, kernel))]
         assert [pres.proj1.count(v) for v in range(A.n)] == top_K
         assert len(pres.proj1) == sum(top_K)
+
+
+def _dense_kernel_top(V, proj0, cover):
+    """``_kernel_top`` with dense kernels of the cover matrices and each image
+    P0(g)k a dense ``matvec`` per block: the reference for the sparse one."""
+    A = V.algebra
+    projs = {b: R.projective(A, b, V.p) for b in set(proj0)}
+    kbasis = [kernel_basis(M) for M in cover]
+    out = []
+    for v in range(A.n):
+        span = Echelon(V.p)
+        for gid, g in enumerate(A.gens):
+            if g.tgt != v:
+                continue
+            blocks = [projs[b].mats[gid] for b in proj0]
+            for k in kbasis[g.src]:
+                img = []
+                pos = 0
+                for m in blocks:
+                    img += m.matvec(k[pos : pos + m.cols])
+                    pos += m.cols
+                span.insert(img)
+        kept = [k for k in reversed(kbasis[v]) if span.insert(k)]
+        out.extend((v, k) for k in reversed(kept))
+    return out
+
+
+@pytest.mark.parametrize("fam, rank", [("B", 2), ("C", 2), ("G21", None), ("BC1", None)])
+def test_minimal_presentation_matches_the_dense_reference(fam, rank, monkeypatch):
+    A = _extending(fam, rank)
+    mods = []
+    for p in (None, 101):
+        samples = [R.random_locally_free(A, r, seed=3, p=p) for r in ([1, 1], [2, 1])]
+        # over "triple", tau S_1 comes out wrong if a column of P0(g) is
+        # applied by its first nonzero only
+        samples += [R.simple(A, i, p) for i in range(A.n)]
+        for V in samples:
+            mods += [V, R.ar_translate(V), R.ar_inverse(V)]
+    sparse = [R.minimal_presentation(V) for V in mods]
+    monkeypatch.setattr(R, "_kernel_top", _dense_kernel_top)
+    for V, pres in zip(mods, sparse):
+        ref = R.minimal_presentation(V)
+        assert (pres.proj0, pres.proj1, pres.injective) == (
+            ref.proj0,
+            ref.proj1,
+            ref.injective,
+        )
+        # repr also compares entry types and the order of the psi entries
+        assert repr(pres.psi) == repr(ref.psi)
 
 
 def test_g_vector_pairing_identity():
