@@ -14,7 +14,6 @@ at vertex i.  Left multiplication by a generator appends to the word.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from glsw.exact import Echelon, _field
 from glsw.quivers import ValuedQuiver
@@ -249,13 +248,13 @@ def _gls_algebra(n, edges, c):
         # powers at a vertex without a loop (c = 1) vanish for exponent >= 1
         rel = []
         if t in loop_of and f_out <= quiver.c[t] - 1:
-            rel.append((Fraction(1), (s, (gid,) + (loop_of[t],) * f_out)))
+            rel.append((1, (s, (gid,) + (loop_of[t],) * f_out)))
         elif f_out == 0:
-            rel.append((Fraction(1), (s, (gid,))))
+            rel.append((1, (s, (gid,))))
         if s in loop_of and f_in <= quiver.c[s] - 1:
-            rel.append((Fraction(-1), (s, (loop_of[s],) * f_in + (gid,))))
+            rel.append((-1, (s, (loop_of[s],) * f_in + (gid,))))
         elif f_in == 0:
-            rel.append((Fraction(-1), (s, (gid,))))
+            rel.append((-1, (s, (gid,))))
         if len(rel) == 2 and rel[0][1] == rel[1][1]:
             continue
         if rel:

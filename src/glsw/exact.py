@@ -5,8 +5,11 @@ Matrices are immutable-by-convention ``Mat`` objects tagged with ``p``:
 represented is decided here and nowhere else: ``_field(p)`` returns the field,
 which carries its zero and one, the coercion of integers and fractions into
 it, inverses, the reduction and scaling of entry lists, and the random draw
-used by samplers.  Over Q entries are ``fractions.Fraction``; over F_p they
-are ints in [0, p), and a fraction maps to numerator times inverse
+used by samplers.  Over Q an integral entry is an ``int`` and any other
+entry a ``fractions.Fraction`` with denominator above 1; besides the field's
+methods, only the rational ``Mat.__mul__`` and the sparse row update
+``_sub_multiple`` produce entries, and both return that form.  Over F_p
+entries are ints in [0, p), and a fraction maps to numerator times inverse
 denominator, raising ``ZeroDivisionError`` when p divides the denominator
 instead of truncating.
 
@@ -43,36 +46,51 @@ BOX = 50
 
 
 class _Rationals:
-    """Q, with ``Fraction`` entries."""
+    """Q, with an integral value held as an ``int`` and any other value as a
+    ``Fraction``.
+
+    Every method returns that canonical form.  An int has ``numerator`` and
+    ``denominator`` and compares, hashes and prints like the equal
+    ``Fraction``, but its arithmetic skips the gcd each ``Fraction``
+    operation pays, and most entries met in practice are integral.  No
+    method divides: ``inv`` builds the inverse as a ``Fraction`` from the
+    numerator and denominator, so no float can arise."""
 
     p = None
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     @staticmethod
     def coerce(x):
-        # a Fraction is immutable, so it is its own coercion
-        return x if type(x) is Fraction else Fraction(x)
+        if type(x) is int:
+            return x
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
     @staticmethod
     def inv(x):
-        return 1 / Fraction(x)
+        n, d = x.numerator, x.denominator
+        if n < 0:
+            n, d = -n, -d
+        # d / n in lowest terms; n == 0 raises ZeroDivisionError
+        return d if n == 1 else Fraction(d, n)
 
     @staticmethod
     def reduce(xs):
-        return list(xs)
+        return [x if type(x) is int or x.denominator != 1 else x.numerator for x in xs]
 
     @staticmethod
     def scale(xs, s):
-        return [x * s for x in xs]
+        return _Rationals.reduce([x * s for x in xs])
 
     @staticmethod
     def sub_scaled(xs, s, ys):
-        return [x - s * y for x, y in zip(xs, ys)]
+        return _Rationals.reduce([x - s * y for x, y in zip(xs, ys)])
 
     @staticmethod
     def random(rng):
-        return Fraction(rng.randint(-BOX, BOX))
+        return rng.randint(-BOX, BOX)
 
 
 class _PrimeField:
@@ -224,7 +242,7 @@ class Mat:
             )
             return Mat(self.rows, other.cols, data, self.p)
         n, k, m = self.rows, self.cols, other.cols
-        data = [Fraction(0)] * (n * m)
+        data = [0] * (n * m)
         for i in range(n):
             base = i * k
             for t in range(k):
@@ -235,16 +253,12 @@ class Mat:
                         b = other.data[rowb + j]
                         if b:
                             data[i * m + j] += a * b
-        return Mat(n, m, data, self.p)
+        return Mat(n, m, _Rationals.reduce(data), None)
 
     def matvec(self, v):
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        F = _field(self.p)
-        if not self.cols:
-            # an empty sum is the int 0, which is not an element of Q here
-            return [F.zero] * self.rows
-        return F.reduce(
+        return _field(self.p).reduce(
             [sum(map(operator.mul, self.row(i), v)) for i in range(self.rows)]
         )
 
@@ -412,11 +426,14 @@ def sparse_kernel_basis(rows, ncols, p=None):
 
 
 def _sub_multiple(row, f, piv, p):
-    """row -= f * piv on sparse rows, dropping the entries that vanish."""
+    """row -= f * piv on sparse rows, dropping the entries that vanish; each
+    entry left is in the canonical form of its field (see ``_Rationals``)."""
     for j, x in piv.items():
         y = row.get(j, 0) - f * x
         if p is not None:
             y %= p
+        elif type(y) is not int and y.denominator == 1:
+            y = y.numerator
         if y:
             row[j] = y
         else:

@@ -12,7 +12,6 @@ small modules generating the homogeneous regular part.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from glsw.algebra import BoundQuiverAlgebra, Gen, gls_presentation
 from glsw.exact import Mat, _field
@@ -184,9 +183,9 @@ def extending_algebra(data):
             Gen("d1", 1, 1, True, 2, 2),
         ]
         rel = [
-            (Fraction(1), (0, (0, 2, 2))),  # b then d1 twice
-            (Fraction(1), (0, (1, 0, 2))),  # d0, b, d1
-            (Fraction(1), (0, (1, 1, 0))),  # d0 twice then b
+            (1, (0, (0, 2, 2))),  # b then d1 twice
+            (1, (0, (1, 0, 2))),  # d0, b, d1
+            (1, (0, (1, 1, 0))),  # d0 twice then b
         ]
         return ExtendingAlgebra(
             "triple", BoundQuiverAlgebra(2, gens, [rel]), (c0, c1), val

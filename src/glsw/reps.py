@@ -796,15 +796,14 @@ def to_json(V):
 def from_json(algebra, s):
     d = json.loads(s)
     p = d["field"]
+    coerce = _field(p).coerce
     mats = {}
     by_name = {g.name: gid for gid, g in enumerate(algebra.gens)}
     for name, data in d["mats"].items():
         gid = by_name[name]
         g = algebra.gens[gid]
         rows, cols = d["dims"][g.tgt], d["dims"][g.src]
-        if p is None:
-            entries = [Fraction(a, b) for a, b in data]
-        else:
-            entries = [_field(p).coerce(x) for x in data]
+        # a rational entry is stored as its [numerator, denominator] pair
+        entries = [coerce(Fraction(*x) if type(x) is list else x) for x in data]
         mats[gid] = Mat(rows, cols, entries, p)
     return Rep(algebra, d["dims"], mats, p)

@@ -223,12 +223,26 @@ def test_solve_maps_fractions_into_fp():
         solve(one, Mat.from_rows([[Fraction(1, 10)]], p=5))
 
 
+def _canonical_q(x):
+    """The form of an element of Q: an int when integral, else a Fraction."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
 def test_field_elements_coercion_and_draws():
     Q, F5 = _field(None), _field(5)
     assert _field(5) is F5 and Q.p is None and F5.p == 5
-    assert (type(Q.zero), type(Q.one), Q.zero, Q.one) == (Fraction, Fraction, 0, 1)
+    assert (type(Q.zero), type(Q.one), Q.zero, Q.one) == (int, int, 0, 1)
     assert (type(F5.zero), type(F5.one), F5.zero, F5.one) == (int, int, 0, 1)
-    assert type(Q.coerce(3)) is Fraction and Q.coerce(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(Q.coerce(3)) is int and Q.coerce(Fraction(1, 2)) == Fraction(1, 2)
+    assert [(type(x), x) for x in (Q.coerce(Fraction(4, 2)), Q.inv(Fraction(1, 3)))] == [
+        (int, 2),
+        (int, 3),
+    ]
+    assert [(type(x), x) for x in (Q.inv(1), Q.inv(-1))] == [(int, 1), (int, -1)]
+    assert type(Q.inv(2)) is Fraction and Q.inv(2) == Fraction(1, 2)
+    assert type(Q.inv(Fraction(-3, 2))) is Fraction and Q.inv(Fraction(-3, 2)) == Fraction(-2, 3)
+    assert [type(x) for x in Q.scale([Fraction(1, 2), 3], 2)] == [int, int]
+    assert [type(x) for x in Q.sub_scaled([1], Fraction(1, 2), [2])] == [int]
     assert [F5.coerce(x) for x in (7, -1, Fraction(1, 2), Fraction(-3, 4))] == [2, 4, 3, 3]
     with pytest.raises(ZeroDivisionError):
         F5.coerce(Fraction(1, 10))
@@ -241,6 +255,7 @@ def test_field_elements_coercion_and_draws():
     q_rng, f_rng = random.Random(1), random.Random(1)
     assert Q.random(q_rng) == Fraction(f_rng.randint(-BOX, BOX))
     assert F5.random(q_rng) == f_rng.randrange(5)
+    assert all(type(Q.random(q_rng)) is int for _ in range(20))
     for bad in (4, 1, 2**31):
         with pytest.raises(ValueError):
             _field(bad)
@@ -385,13 +400,14 @@ def sparse_rows(draw):
 
 
 def _assert_normalized_kernel(kernel, rows, ncols, p):
-    """Every vector has ncols entries of the field (a Fraction over Q, an int
-    in [0, p) over F_p), first nonzero entry 1, and is killed by every row."""
+    """Every vector has ncols entries of the field (an int when integral and
+    else a Fraction over Q, an int in [0, p) over F_p), first nonzero entry 1,
+    and is killed by every row."""
     F = _field(p)
     for v in kernel:
         assert len(v) == ncols
         if p is None:
-            assert all(type(x) is Fraction for x in v)
+            assert all(_canonical_q(x) for x in v)
         else:
             assert all(type(x) is int and 0 <= x < p for x in v)
         assert next(x for x in v if x) == 1
@@ -452,3 +468,47 @@ def test_blockwise_lcm_is_minimal_polynomial(case):
     for b in blocks:
         lcm = poly_lcm(lcm, minimal_polynomial(b), p)
     assert lcm == minimal_polynomial(_block_diagonal(blocks, p))
+
+
+def test_rational_operations_return_canonical_entries():
+    h = Fraction(1, 2)
+    A = Mat.from_rows([[h, h], [Fraction(3, 2), 2]])
+    B = Mat.from_rows([[2, 0], [0, h]])
+    E = Echelon(None, [[2, 1], [h, h]])
+    results = [
+        (A * B).data,
+        A.matvec([2, 2]),
+        Mat.zero(2, 0).matvec([]),
+        (A + A).data,
+        A.scale(2).data,
+        rref(A)[0].data,
+        solve(A, Mat.identity(2)).data,
+        [x for v in kernel_basis(Mat.from_rows([[h, 1, Fraction(3, 2)]])) for x in v],
+        [x for r in E.rows.values() for x in r.values()],
+        list(E.reduce([3, h]).values()),
+    ]
+    assert (A * B).data == [1, Fraction(1, 4), 3, 1]
+    for data in results:
+        assert all(_canonical_q(x) for x in data), data
+
+
+def test_every_suite_keeps_rational_entries_canonical(monkeypatch):
+    """No rational matrix built or filled in while the suites run holds a
+    float or an integral Fraction; the data lists are read at the end, so an
+    entry written after construction is seen too."""
+    from glsw.suites import SUITES, run_suite
+
+    held = []
+    init = Mat.__init__
+
+    def recording(self, rows, cols, data, p=None):
+        init(self, rows, cols, data, p)
+        if p is None:
+            held.append(data)
+
+    monkeypatch.setattr(Mat, "__init__", recording)
+    for name in SUITES:
+        assert run_suite(name, {"seed": 0})["passed"], name
+    assert held
+    bad = {repr(x) for data in held for x in data if not _canonical_q(x)}
+    assert not bad, sorted(bad)[:5]

@@ -633,6 +633,27 @@ def test_random_locally_free_solves_relations_sparsely(monkeypatch):
 # -- serialization -----------------------------------------------------------
 
 
+def test_json_roundtrip_loads_canonical_entries():
+    A = algebra("BC1")
+    for V in [family_module(Fraction(-2, 3), 5), family_module(Fraction(4, 2), 1, 7)]:
+        W = R.from_json(A, R.to_json(V))
+        assert (W.dims, W.p, W.mats) == (V.dims, V.p, V.mats)
+        entries = [x for m in W.mats.values() for x in m.data]
+        if V.p is None:
+            assert Fraction(-2, 3) in entries
+            assert all(
+                type(x) is int or (type(x) is Fraction and x.denominator != 1)
+                for x in entries
+            )
+        else:
+            assert all(type(x) is int and 0 <= x < V.p for x in entries)
+    # a stored pair that is not in lowest terms still loads as an int
+    text = R.to_json(family_module(1, 1)).replace("[1, 1]", "[4, 4]", 1)
+    W = R.from_json(A, text)
+    assert W.mats == family_module(1, 1).mats
+    assert all(type(x) is int for m in W.mats.values() for x in m.data)
+
+
 def test_json_roundtrip_rational_and_prime():
     A = algebra("BC1")
     for V in [family_module(3, 1), R.projective(A, 1), family_module(2, 1, 7)]:

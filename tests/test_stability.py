@@ -383,7 +383,10 @@ def _check_sub_and_quotient(V, spans):
         assert proj[g.tgt] * V.mats[gid] == quo.mats[gid] * proj[g.src]
     if V.p is None:
         entries = [x for W in (sub, quo) for m in W.mats.values() for x in m.data]
-        assert all(type(x) is Fraction for x in entries)
+        assert all(
+            type(x) is int or (type(x) is Fraction and x.denominator != 1)
+            for x in entries
+        )
 
 
 @given(st.one_of(path_algebra_modules(), bc1_modules()))
