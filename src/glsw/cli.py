@@ -2,7 +2,7 @@
 named verification suites, with machine-readable reports.
 
 Reports go to stdout as canonical JSON (sorted keys, no trailing spaces) or
-as flattened tab-separated rows; progress logs go to stderr.  Exit codes:
+as flattened tab-separated rows; error messages go to stderr.  Exit codes:
 0 success / suite passed, 1 suite failed, 2 usage error, 3 a decomposition
 failed its certificate (its cover summands do not fold back).  ``decompose``
 is exact; only ``verify`` takes a seed (``--seed``, default 0), and only
@@ -13,15 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 
 from glsw.quivers import catalog_affine
 from glsw import decomposition as D, stability as S, suites
 
 SCHEMA_VERSION = 1
-
-log = logging.getLogger("glsw")
 
 
 def _parse_caps(text):
@@ -101,7 +98,7 @@ def cmd_catalog(args):
     try:
         q = catalog_affine(args.family, args.rank)
     except ValueError as exc:
-        log.error("%s", exc)
+        print(exc, file=sys.stderr)
         return 2
     theta = S.defect_weight(q)
     report = {
@@ -124,15 +121,18 @@ def cmd_decompose(args):
     try:
         q = catalog_affine(args.family, args.rank)
     except ValueError as exc:
-        log.error("%s", exc)
+        print(exc, file=sys.stderr)
         return 2
     if len(args.vector) != q.n:
-        log.error("vector length %d does not match %d vertices", len(args.vector), q.n)
+        print(
+            f"vector length {len(args.vector)} does not match {q.n} vertices",
+            file=sys.stderr,
+        )
         return 2
     try:
         rep = D.folded_decomposition(q, args.vector)
     except ValueError as exc:
-        log.error("%s", exc)
+        print(exc, file=sys.stderr)
         return 2
     except D.CertificationError as exc:
         report = {
@@ -157,11 +157,8 @@ def cmd_decompose(args):
 
 def cmd_verify(args):
     if args.suite not in suites.SUITES:
-        log.error(
-            "unknown suite %r (choose from %s)",
-            args.suite,
-            ", ".join(sorted(suites.SUITES)),
-        )
+        choices = ", ".join(sorted(suites.SUITES))
+        print(f"unknown suite {args.suite!r} (choose from {choices})", file=sys.stderr)
         return 2
     # caps not given keep the defaults of stability.DEFAULT_CONFIG
     config = {f"{key}_cap": value for key, value in args.caps.items()}
@@ -174,7 +171,6 @@ def cmd_verify(args):
 
 
 def main(argv=None):
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify" and args.caps and args.suite != "stability":

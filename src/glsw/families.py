@@ -11,6 +11,7 @@ small modules generating the homogeneous regular part.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from glsw.algebra import BoundQuiverAlgebra, Gen, gls_presentation
@@ -74,26 +75,31 @@ def bc1_Vbar(p=None):
     return R.Rep(A, [2, 1], {0: alpha, 1: _block_regular_nilpotent(2, 1, p)}, p)
 
 
+def bc1_translate_series(series, i, p=None):
+    """tau^{-n} P_i ('p') or tau^n I_i ('q') for n = 0, 1, 2, ..., each
+    translate taken once from the last; i in {1, 2} is the vertex.  Raises
+    ``AssertionError`` at the first member off the closed form ``bc1_root``."""
+    A = bc1_algebra()
+    if series == "p":
+        V, step = R.projective(A, i - 1, p), R.ar_inverse
+    else:
+        V, step = R.injective(A, i - 1, p), R.ar_translate
+    for n in itertools.count():
+        expected = bc1_root(series, i, n)
+        if V.dims != [4 * expected[0], expected[1]]:
+            raise AssertionError("translate series left the closed-form track")
+        yield V
+        V = step(V)
+
+
 def bc1_preprojective(i, n, p=None):
     """tau^{-n} of the indecomposable projective at vertex i (1 or 2)."""
-    V = R.projective(bc1_algebra(), i - 1, p)
-    for _ in range(n):
-        V = R.ar_inverse(V)
-    expected = bc1_root("p", i, n)
-    if V.dims != [4 * expected[0], expected[1]]:
-        raise AssertionError("translate series left the closed-form track")
-    return V
+    return next(itertools.islice(bc1_translate_series("p", i, p), n, None))
 
 
 def bc1_preinjective(i, n, p=None):
     """tau^n of the indecomposable injective at vertex i (1 or 2)."""
-    V = R.injective(bc1_algebra(), i - 1, p)
-    for _ in range(n):
-        V = R.ar_translate(V)
-    expected = bc1_root("q", i, n)
-    if V.dims != [4 * expected[0], expected[1]]:
-        raise AssertionError("translate series left the closed-form track")
-    return V
+    return next(itertools.islice(bc1_translate_series("q", i, p), n, None))
 
 
 def g_basis_reconciliation(nmax=3):
@@ -108,11 +114,8 @@ def g_basis_reconciliation(nmax=3):
     consistent = True
     for series in ("p", "q"):
         for i in (1, 2):
-            for n in range(nmax + 1):
-                if series == "p":
-                    V = bc1_preprojective(i, n)
-                else:
-                    V = bc1_preinjective(i, n)
+            # zip draws from the range first, so the walk stops at n = nmax
+            for n, V in zip(range(nmax + 1), bc1_translate_series(series, i)):
                 g = R.g_vector(V)
                 mapped = tuple(
                     sum(matrix[r][k] * g[k] for k in range(2)) for r in range(2)
@@ -257,8 +260,9 @@ def eta_brick_sample(quiver, seed=0):
             R.hom_dim(V, R.projective(algebra, i)) for i in range(algebra.n)
         )
         checks["hom_to_projectives_zero"] = proj_hom == 0
-        checks["ext_self_dim_one"] = R.ext1_dim(V, V) == 1
-        TV = R.ar_translate(V)
+        pres = R.minimal_presentation(V)  # for both Ext^1(V, V) and tau V
+        checks["ext_self_dim_one"] = pres.ext1_dim(V) == 1
+        TV = R.dual(pres.transpose(), algebra)
         checks["translate_self_iso"] = bool(R.is_isomorphic(TV, V)[0])
         attempts.append({"seed": use_seed, "checks": checks})
         if all(checks.values()):

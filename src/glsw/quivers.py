@@ -215,7 +215,7 @@ class ValuedQuiver:
     def defect(self, v):
         return self.ringel_form(self.null_root(), v)
 
-    def is_positive_real_root(self, v, max_steps=10000):
+    def is_positive_real_root(self, v):
         self._check_size(v)
         v = list(v)
         if any(x < 0 for x in v) or not any(v):
@@ -226,7 +226,8 @@ class ValuedQuiver:
             eta = self.null_root()
         except ValueError:
             eta = None
-        for _ in range(max_steps):
+        # each accepted reflection and each null-root peel lowers sum(c_i v_i)
+        while True:
             nz = [i for i in range(self.n) if v[i]]
             if len(nz) == 1 and v[nz[0]] == 1:
                 return True
@@ -250,7 +251,6 @@ class ValuedQuiver:
                         return False
                 else:
                     return False
-        return False
 
     def positive_real_roots_bounded(self, height_cap):
         """All positive real roots with weighted height sum(c_i v_i) <= cap,

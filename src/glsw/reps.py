@@ -166,19 +166,39 @@ def is_locally_free(V):
 def projective(algebra, i, p=None):
     """P_i: vertex spaces spanned by basis paths from i, generators acting by
     left multiplication."""
-    corners = [algebra.corner_basis(i, v) for v in range(algebra.n)]
+    return _path_module(algebra, i, p, right=False)
+
+
+def _path_module(algebra, i, p, right):
+    """P_i, or with ``right`` the right projective e_i H as a representation
+    of the opposite algebra.
+
+    The vertex-v space is spanned by the basis paths i -> v, or v -> i for
+    e_i H, and a generator acts by multiplication on that side; in the
+    opposite algebra it runs g.tgt -> g.src.  Keeping the paths of
+    ``algebra`` makes the coordinates of e_i H those of presentation entries.
+    """
+    corners = [
+        algebra.corner_basis(v, i) if right else algebra.corner_basis(i, v)
+        for v in range(algebra.n)
+    ]
     index = [{path: k for k, path in enumerate(c)} for c in corners]
     dims = [len(c) for c in corners]
     mats = {}
     coerce = _field(p).coerce
     for gid, g in enumerate(algebra.gens):
-        m = Mat.zero(dims[g.tgt], dims[g.src], p)
-        for col, path in enumerate(corners[g.src]):
-            prod = algebra.multiply_paths((g.src, (gid,)), path)
+        src, tgt = (g.tgt, g.src) if right else (g.src, g.tgt)
+        arrow = (g.src, (gid,))
+        m = Mat.zero(dims[tgt], dims[src], p)
+        for col, path in enumerate(corners[src]):
+            if right:
+                prod = algebra.multiply_paths(path, arrow)
+            else:
+                prod = algebra.multiply_paths(arrow, path)
             for q, coef in prod.items():
-                m.data[index[g.tgt][q] * m.cols + col] = coerce(coef)
+                m.data[index[tgt][q] * m.cols + col] = coerce(coef)
         mats[gid] = m
-    return Rep(algebra, dims, mats, p)
+    return Rep(algebra.opposite() if right else algebra, dims, mats, p)
 
 
 def dual(V, opposite_algebra):
@@ -295,16 +315,19 @@ def end_dim(V):
 
 
 class Presentation:
-    """Minimal projective presentation P1 -> P0 -> V -> 0."""
+    """Minimal projective presentation P1 -> P0 -> V -> 0 over ``algebra``,
+    with entries in the field of ``p``."""
 
-    def __init__(self, proj0, proj1, psi, injective):
+    def __init__(self, algebra, p, proj0, proj1, psi, injective):
+        self.algebra = algebra
+        self.p = p
         self.proj0 = proj0  # list of vertices (with multiplicity)
         self.proj1 = proj1
         self.psi = psi  # psi[r][s] in e_{proj1[r]} H e_{proj0[s]}
         self.injective = injective  # psi is injective: pd V <= 1
 
-    def g_vector(self, n):
-        g = [0] * n
+    def g_vector(self):
+        g = [0] * self.algebra.n
         for b in self.proj0:
             g[b] += 1
         for a in self.proj1:
@@ -341,6 +364,22 @@ class Presentation:
             )
         M = self.hom_matrix(W)
         return M.rows - rank(M)
+
+    def transpose(self):
+        """Tr V, the cokernel of Hom(psi, H) between right modules, as a left
+        module over the opposite algebra.
+
+        Its vertex-v space is the cokernel of Hom(psi, P_v), because e_a H e_v
+        is the vertex-a space of the left projective P_v, in the same path
+        basis as the vertex-v space of the right projective e_a H."""
+        A, p = self.algebra, self.p
+        parts = [_path_module(A, a, p, right=True) for a in self.proj1]
+        amb = direct_sum(zero_rep(A.opposite(), p), *parts)
+        spans = [
+            Echelon(p, self.hom_matrix(projective(A, v, p)).transpose().rowlist())
+            for v in range(A.n)
+        ]
+        return _quotient_rep(amb, spans)
 
 
 def _top_generators(V):
@@ -384,7 +423,7 @@ def minimal_presentation(V):
     # P1 -> K = ker(P0 -> V) is onto, so psi is injective iff the dims agree
     size = [sum(len(A.corner_basis(b, v)) for v in range(A.n)) for b in range(A.n)]
     injective = sum(size[a] for a in proj1) == sum(size[b] for b in proj0) - sum(V.dims)
-    return Presentation(proj0, proj1, psi, injective)
+    return Presentation(A, V.p, proj0, proj1, psi, injective)
 
 
 def _cover_matrices(V, top):
@@ -495,7 +534,7 @@ def _quotient_rep(V, spans):
 
 
 def g_vector(V):
-    return minimal_presentation(V).g_vector(V.algebra.n)
+    return minimal_presentation(V).g_vector()
 
 
 def ext1_dim(V, W, method="presentation"):
@@ -524,63 +563,14 @@ def ext1_dim(V, W, method="presentation"):
 # Auslander-Reiten translation via transpose-dual
 
 
-def _right_projective_rep(algebra, opposite, a, p):
-    """The right module e_a H as a representation of the opposite algebra.
-
-    The vertex-v space is spanned by basis paths v -> a of the base algebra;
-    generators act by right multiplication.  Working with base-algebra paths
-    keeps the coordinates compatible with presentation entries.
-    """
-    corners = [algebra.corner_basis(v, a) for v in range(algebra.n)]
-    index = [{path: k for k, path in enumerate(c)} for c in corners]
-    dims = [len(c) for c in corners]
-    mats = {}
-    coerce = _field(p).coerce
-    for gid, g in enumerate(algebra.gens):
-        # in the opposite algebra this generator runs g.tgt -> g.src
-        m = Mat.zero(dims[g.src], dims[g.tgt], p)
-        for col, path in enumerate(corners[g.tgt]):
-            prod = algebra.multiply_paths(path, (g.src, (gid,)))
-            for q, coef in prod.items():
-                m.data[index[g.src][q] * m.cols + col] = coerce(coef)
-        mats[gid] = m
-    return Rep(opposite, dims, mats, p)
-
-
-def _transpose_module(algebra, opposite, pres, p):
-    """Tr V, the cokernel of Hom(psi, H) between right modules, as a left
-    module over the opposite algebra.
-
-    Its vertex-v space is the cokernel of Hom(psi, P_v), because e_a H e_v is
-    the vertex-a space of the left projective P_v, in the same path basis as
-    the vertex-v space of the right projective e_a H."""
-    parts = [
-        _right_projective_rep(algebra, opposite, a, p) for a in pres.proj1
-    ]
-    amb = direct_sum(zero_rep(opposite, p), *parts)
-    spans = [
-        Echelon(p, pres.hom_matrix(projective(algebra, v, p)).transpose().rowlist())
-        for v in range(algebra.n)
-    ]
-    return _quotient_rep(amb, spans)
-
-
 def ar_translate(V):
     """tau(V) = D Tr(V); projective summands are annihilated."""
-    A = V.algebra
-    op = A.opposite()
-    pres = minimal_presentation(V)
-    tr = _transpose_module(A, op, pres, V.p)
-    return dual(tr, A)
+    return dual(minimal_presentation(V).transpose(), V.algebra)
 
 
 def ar_inverse(V):
     """tau^{-}(V) = Tr D(V); injective summands are annihilated."""
-    A = V.algebra
-    op = A.opposite()
-    dv = dual(V, op)
-    pres = minimal_presentation(dv)
-    return _transpose_module(op, A, pres, V.p)
+    return minimal_presentation(dual(V, V.algebra.opposite())).transpose()
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,32 @@ def test_decompose_vector_length_checked(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("catalog", "ZZ"), "unknown family 'ZZ'"),
+        (("decompose", "BC1", "-v", "1,2,3"), "vector length 3 does not match 2 vertices"),
+        (("verify", "nosuch"), "unknown suite 'nosuch' (choose from bc1, catalog,"),
+    ],
+    ids=["catalog", "decompose", "verify"],
+)
+def test_usage_errors_go_to_stderr(capsys, argv, message):
+    assert cli.main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_decompose_a_real_root_far_up_the_series(capsys):
+    # tau^{-6000} P_1 of BC1: its rank takes about 12,000 reflections to reduce
+    code, out = run(capsys, "decompose", "BC1", "-v", "12001,24000")
+    assert code == 0
+    report = json.loads(out)
+    assert report["certified"]
+    assert (report["m"], report["w"]) == (0, [12001, 24000])
+    assert report["summands"] == [{"class": [12001, 24000], "multiplicity": 1}]
+
+
 def test_verify_passes_and_is_deterministic(capsys):
     code1, out1 = run(capsys, "verify", "catalog", "--seed", "3")
     code2, out2 = run(capsys, "verify", "catalog", "--seed", "3")

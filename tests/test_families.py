@@ -1,9 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from glsw.quivers import catalog_affine
-from glsw import families as F, reps as R
+from glsw import families as F, reps as R, suites
 
 GRID = [(k, 1) for k in range(10)] + [(1, 0)]
 
@@ -38,6 +39,61 @@ def test_series_modules_match_formulas():
         for n in range(3):
             F.bc1_preprojective(i, n)  # asserts internally
             F.bc1_preinjective(i, n)
+
+
+def _per_n_reference(series, i, n, p):
+    """tau^{-n} P_i or tau^n I_i, rebuilt from the start for this n alone."""
+    A = F.bc1_algebra()
+    if series == "p":
+        V, step = R.projective(A, i - 1, p), R.ar_inverse
+    else:
+        V, step = R.injective(A, i - 1, p), R.ar_translate
+    for _ in range(n):
+        V = step(V)
+    return V
+
+
+@pytest.mark.parametrize("p", [None, 7])
+@pytest.mark.parametrize("series", ["p", "q"])
+def test_series_walk_matches_the_per_n_translates(series, p):
+    for i in (1, 2):
+        walk = itertools.islice(F.bc1_translate_series(series, i, p), 6)
+        for n, V in enumerate(walk):
+            ref = _per_n_reference(series, i, n, p)
+            assert V.algebra is ref.algebra
+            assert (V.dims, V.mats, V.p) == (ref.dims, ref.mats, ref.p)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(R, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(R, name, counted)
+    return calls
+
+
+def test_bc1_suite_presents_each_module_once(monkeypatch):
+    """The series are walked once (10 inverse translates, where restarting
+    for each n took 30), and each g-pairing sample is presented once for
+    both g(V) and tau V: 10 + 10 + 50 presentations (160 when restarting
+    and presenting twice)."""
+    presentations = _counting(monkeypatch, "minimal_presentation")
+    inverses = _counting(monkeypatch, "ar_inverse")
+    report = suites.suite_bc1()
+    assert report["passed"]
+    assert len(presentations) <= 70
+    assert len(inverses) <= 10
+
+
+def test_eta_brick_sample_presents_its_module_once(monkeypatch):
+    presentations = _counting(monkeypatch, "minimal_presentation")
+    V, report = F.eta_brick_sample(catalog_affine("C", 2), seed=0)
+    assert report["passed"]
+    assert len(presentations) == len(report["attempts"]) == 1
 
 
 def test_series_base_cases():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from glsw.algebra import unfold
+from glsw.families import bc1_root
 from glsw.quivers import CATALOG_FAMILIES, ValuedQuiver, catalog_affine
 from glsw.suites import CATALOG_REPRESENTATIVES
 
@@ -152,6 +153,15 @@ def test_positive_real_roots_bc1():
         assert q.is_positive_real_root(q.simple_root(i))
     assert not q.is_positive_real_root([1, 2])  # the null root
     assert not q.is_positive_real_root([0, 0])
+
+
+def test_real_roots_far_up_the_series_are_recognized():
+    """tau^{-6000} P_1 of BC1 has rank [12001, 24000]: about 12,000
+    reflections bring it down to a simple root."""
+    q = catalog_affine("BC1")
+    assert q.is_positive_real_root(bc1_root("p", 1, 6000))
+    assert q.is_positive_real_root(bc1_root("q", 2, 6000))
+    assert not q.is_positive_real_root([6000, 12000])  # 6000 * eta
 
 
 def test_simples_are_roots_everywhere():

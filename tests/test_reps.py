@@ -383,6 +383,34 @@ def test_auslander_reiten_formula(p):
     assert nonzero >= 4
 
 
+@pytest.mark.parametrize("p", [None, 7])
+def test_transpose_kills_projectives(p):
+    for fam, rank in [("BC1", None), ("C", 2)]:
+        A = algebra(fam, rank)
+        for i in range(A.n):
+            pres = R.minimal_presentation(R.projective(A, i, p))
+            assert pres.algebra is A and pres.p == p and pres.proj1 == []
+            tr = pres.transpose()
+            assert tr.algebra is A.opposite()
+            assert tr.total_dim() == 0
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_transpose_twice_returns_the_module(p):
+    """Tr Tr V = V for modules without projective summands; Tr V lives over
+    the opposite algebra and Tr Tr V over the algebra again."""
+    A = algebra("BC1")
+    mods = [R.ar_inverse(R.projective(A, i, p)) for i in range(A.n)]
+    mods += [family_module(3, 1, p), family_module(1, 0, p), boundary_module(p)]
+    mods += [R.injective(A, 1, p), R.simple(A, 0, p)]
+    for V in mods:
+        tr = R.minimal_presentation(V).transpose()
+        assert tr.algebra is A.opposite()
+        trtr = R.minimal_presentation(tr).transpose()
+        assert trtr.algebra is A
+        assert R.is_isomorphic(trtr, V)[0]
+
+
 def test_translate_kills_projectives_and_inverse_kills_injectives():
     for fam, rank in [("BC1", None), ("C", 2)]:
         A = algebra(fam, rank)
